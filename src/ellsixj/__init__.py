@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     EvaluationPointError,
     IllConditionedError,
-    PathBudgetError,
     SamplingError,
     SingularParameterError,
     SixjError,

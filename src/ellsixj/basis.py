@@ -73,10 +73,6 @@ def h_value(x: complex, a: complex, k: int, ctx: EllipticContext) -> complex:
     )
 
 
-def h_monomial(spec: MonomialSpec, x: complex, ctx: EllipticContext) -> complex:
-    return h_value(x, spec.a, spec.k, ctx)
-
-
 def h_pair_fn(
     a: complex, b: complex, k: int, N: int, ctx: EllipticContext
 ) -> Callable[[complex], complex]:

@@ -29,9 +29,5 @@ class SamplingError(SixjError, RuntimeError):
     """The rejection sampler failed to find generic parameters."""
 
 
-class PathBudgetError(SixjError, ValueError):
-    """A lattice-path enumeration exceeds the configured budget."""
-
-
 class EvaluationPointError(SixjError, ValueError):
     """An evaluation point sits on (or too near) a removable singularity."""

@@ -333,9 +333,11 @@ def _run(suite: str, cfg: SampleConfig, levels: tuple, trial_fn) -> VerifyReport
             residual, params = trial_fn(rng, level)
         except SixjError as exc:
             residual, params = 1e300, {"error": f"{type(exc).__name__}: {exc}"}
+        if not math.isfinite(residual):
+            residual = 1e300
         params["level"] = level.value
         worst = max(worst, residual)
-        if residual > tol:
+        if not (residual <= tol):
             failures.append(Failure(t, params, residual))
     elapsed = time.perf_counter() - start
     return VerifyReport(suite, cfg.trials, cfg.seed, tol, worst, failures, elapsed)

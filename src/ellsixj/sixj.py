@@ -32,14 +32,12 @@ import numpy as np
 
 from .basis import BasisPair, basis_valid, expand_by_solve, h_pair_fn
 from .context import EllipticContext
-from .errors import DomainError, PathBudgetError, SingularParameterError
+from .errors import DomainError, SingularParameterError
 from .series import eval_V12, eval_rFs, eval_rphi_s, f_spec, phi_spec, v12_spec
 from . import scalar
 
 #: magnitude below which a prefactor denominator counts as resonant
 PREFACTOR_EPS = 1e-13
-#: largest N the path enumeration will accept
-DEFAULT_PATH_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,10 @@ class CoeffMatrix:
     quad: ParamQuad
     # entries recomputed through the collocation fallback, as (k, l) pairs
     fallback: tuple = ()
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.entries).all():
+            raise DomainError(f"non-finite matrix entries at N = {self.quad.N}")
 
     def __getitem__(self, kl):
         return self.entries[kl]
@@ -461,35 +463,38 @@ def _step_weight(quad, early: bool, right: bool, x: int, y: int, k: int) -> comp
     return num / den
 
 
-def R_paths(quad: ParamQuad, path_budget: int = DEFAULT_PATH_BUDGET) -> CoeffMatrix:
+def _path_sums(N: int, step) -> list:
+    """Weighted sums over up-right paths (0,0) -> (l, N-l), for l = 0..N.
+
+    step(x, y, right) is the weight of the step leaving corner (x, y).  One
+    sweep over the anti-diagonals x + y = s carries the total weight of all
+    paths reaching each corner; diag[x] is the corner (x, s - x).
+    """
+    diag = [1.0 + 0j]
+    for s in range(N):
+        nxt = [0j] * (s + 2)
+        for x, w in enumerate(diag):
+            nxt[x + 1] += w * step(x, s - x, True)
+            nxt[x] += w * step(x, s - x, False)
+        diag = nxt
+    return diag
+
+
+def R_paths(quad: ParamQuad) -> CoeffMatrix:
     """Entry (k, l) as a sum over up-right paths (0,0) -> (l, N-l).
 
     The first k of the N steps carry the `early` weights (parameter a),
     the rest the `late` ones (parameter b, offset by q^-k).  Weights are
-    evaluated at the step's starting corner (x, y).
+    evaluated at the step's starting corner (x, y), so row k is one
+    lattice sweep of _path_sums: O(N^2) step weights per row.
     """
     _require_valid(quad)
     N = quad.N
-    if N > path_budget:
-        raise PathBudgetError(f"N = {N} exceeds the path budget {path_budget}")
     ent = np.empty((N + 1, N + 1), dtype=complex)
-    for l in range(N + 1):
-        rights = list(itertools.combinations(range(N), l))
-        for k in range(N + 1):
-            total = 0j
-            for S in rights:
-                sset = frozenset(S)
-                w = 1.0 + 0j
-                x = y = 0
-                for i in range(N):
-                    right = i in sset
-                    w *= _step_weight(quad, i < k, right, x, y, k)
-                    if right:
-                        x += 1
-                    else:
-                        y += 1
-                total += w
-            ent[k, l] = total
+    for k in range(N + 1):
+        ent[k] = _path_sums(
+            N, lambda x, y, right: _step_weight(quad, x + y < k, right, x, y, k)
+        )
     return CoeffMatrix(ent, Route.PATHS, quad)
 
 
@@ -903,26 +908,12 @@ def krawtchouk_addition_sides(N: int, A1, A2):
 def paths_gf(N: int, l: int, k: int, q: complex, t: complex) -> complex:
     """sum over up-right paths (0,0)->(l,N-l) of q^(area) t^(height after k).
 
-    Each up step at abscissa x contributes q^x; t marks the height reached
-    after the first k steps.
+    Each up step at abscissa x contributes q^x, times t when it is one of
+    the first k steps.
     """
-    total = 0j
-    for S in itertools.combinations(range(N), l):
-        sset = frozenset(S)
-        x = 0
-        area = 0
-        yk = 0
-        y = 0
-        for i in range(N):
-            if i in sset:
-                x += 1
-            else:
-                area += x
-                y += 1
-            if i == k - 1:
-                yk = y
-        total += q**area * t**yk
-    return total
+    return _path_sums(
+        N, lambda x, y, right: 1.0 if right else q**x * (t if x + y < k else 1.0)
+    )[l]
 
 
 def paths_qbinomial(N: int, l: int, q: complex) -> complex:

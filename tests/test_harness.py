@@ -1,10 +1,12 @@
 """Verification harness: determinism, sensitivity, coverage, reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from ellsixj import harness
 from ellsixj.errors import DomainError, SamplingError
 from ellsixj.harness import (
     IDENTITY_COVERAGE,
@@ -110,6 +112,12 @@ def test_failures_collect_iff_above_tolerance():
     for f in rep.failures:
         assert f.residual > rep.tol
         assert "level" in f.params
+    # a NaN residual fails, recorded as the finite error sentinel
+    cfg = SampleConfig(seed=3, trials=2)
+    rep = harness._run("nan", cfg, (Level.TRIG,), lambda rng, level: (math.nan, {}))
+    assert len(rep.failures) == rep.trials
+    assert rep.max_residual == 1e300
+    assert all(f.residual == 1e300 for f in rep.failures)
 
 
 def test_default_tolerance_tracks_the_loosest_level():

@@ -12,12 +12,14 @@ from conftest import draw_quad, rel
 from ellsixj import scalar
 from ellsixj.basis import h_value
 from ellsixj.context import make_context
-from ellsixj.errors import DomainError, PathBudgetError
-from ellsixj.harness import Level, SampleConfig, Shape, sample_generic
+from ellsixj.errors import DomainError
+from ellsixj.harness import LEVEL_TOL, Level, SampleConfig, Shape, sample_generic
 from ellsixj.sixj import (
     CoeffMatrix,
+    GbtMode,
     LimitKind,
     ParamQuad,
+    R_double_sum,
     R_explicit,
     R_matrix,
     R_paths,
@@ -26,6 +28,7 @@ from ellsixj.sixj import (
     apply_symmetry,
     band_quad,
     elliptic_W6j,
+    gbt_row,
     krawtchouk_K,
     krawtchouk_addition_sides,
     krawtchouk_inverse,
@@ -98,10 +101,21 @@ def test_route_requires_nondegenerate_basis(trig_ctx):
             R_matrix(quad, route)
 
 
-def test_paths_budget_guard():
-    quad = draw_quad(34, 3)
-    with pytest.raises(PathBudgetError):
-        R_paths(quad, path_budget=2)
+@pytest.mark.parametrize("level", [Level.TRIG, Level.ELLIPTIC])
+def test_paths_match_recurrence_past_small_N(level):
+    quad = draw_quad(34, 12, level)
+    got = R_paths(quad).entries
+    assert rel(got, R_double_sum(quad).entries) < LEVEL_TOL[level]
+
+
+def test_non_finite_matrix_raises():
+    # the entries of this quad overflow at N = 20; no route may return them
+    ctx = make_context(0.41, p=0.17)
+    quad = ParamQuad(1.2 + 0.3j, 0.8 - 0.2j, 1.1 + 0.4j, 0.7 + 0.2j, 20, ctx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for route in (Route.RECURRENCE, Route.PATHS):
+            with pytest.raises(DomainError, match="N = 20"):
+                R_matrix(quad, route)
 
 
 def test_param_quad_validation(ell_ctx):
@@ -109,6 +123,15 @@ def test_param_quad_validation(ell_ctx):
         ParamQuad(1.0, 1.0, 1.0, 1.0, -1, ell_ctx)
     with pytest.raises(DomainError):
         ParamQuad(0.0, 1.0, 1.1, 0.9, 2, ell_ctx)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_gbt_closed_form_matches_recurrence(p):
+    ctx = make_context(0.43, p=p)
+    a, b, c = 0.83 + 0.21j, 1.17 - 0.34j, 0.71 + 0.45j
+    for N in (1, 3, 5):
+        closed = gbt_row(a, b, c, N, ctx, GbtMode.CLOSED)
+        assert rel(closed, gbt_row(a, b, c, N, ctx)) < 1e-12
 
 
 # -- pairing inverses ---------------------------------------------------------
