@@ -2,10 +2,9 @@
 
 These are the hot inner loops: truncated theta products, q-Pochhammer
 loops, and the terminating sums every higher-level formula reduces to.
-`_kernels_cy` is a Cython twin with identical signatures and semantics;
-`backend` selects one at import time and the test suite compares them.
+Callers reach them through `backend.kernels`.
 
-Conventions shared by both backends:
+Conventions:
 
 - all inputs are assumed finite and pre-validated by the wrappers in
   `scalar`/`series`; the kernels only guard against divisions that the

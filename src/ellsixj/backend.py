@@ -1,29 +1,10 @@
-"""Kernel backend selection.
+"""The scalar kernels, as one module object.
 
-The compiled Cython kernels are preferred when importable; setting the
-environment variable SIXJ_PURE_PYTHON (to anything non-empty) forces the
-pure-Python twin.  Both expose identical functions; see `_kernels_py` for
-the contract.
+Callers reach every kernel as an attribute of `kernels` (`kernels.theta(...)`,
+never a name imported from it), so one attribute replaced on the module
+is seen by every caller, including the kernels that call each other.
 """
 
-from __future__ import annotations
+from . import _kernels_py as kernels
 
-import os
-
-if os.environ.get("SIXJ_PURE_PYTHON"):
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels_cy as kernels  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-        BACKEND = "python"
-
-
-def backend_name() -> str:
-    return BACKEND
+BACKEND = "python"

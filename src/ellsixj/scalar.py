@@ -1,6 +1,6 @@
 """Scalar building blocks: factorials, Pochhammers, theta.
 
-Thin validating wrappers around the kernel backend.  Negative Pochhammer
+Thin validating wrappers around the scalar kernels.  Negative Pochhammer
 indices are handled here by the inversion rule
 
     (a; q)_k = 1 / (a q^k; q)_{-k},          k < 0,

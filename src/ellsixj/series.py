@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .backend import kernels
-from .context import EllipticContext
+from .context import EllipticContext, make_context
 from .errors import BalancingError, DomainError, SingularParameterError
 from . import scalar
 
@@ -116,14 +116,11 @@ def v12_spec(a: complex, bs, q: complex, p: complex, n: int) -> SeriesSpec:
 # -- evaluation ------------------------------------------------------------
 
 
-def _nfac(spec: SeriesSpec, ctx: EllipticContext | None) -> int:
-    if spec.nome == 0:
-        return 0
-    if ctx is not None and ctx.p == spec.nome:
-        return ctx.theta_factors
-    import math
-
-    return math.ceil(math.log(1e-16) / math.log(abs(spec.nome))) + 2
+def _spec_context(spec: SeriesSpec, ctx: EllipticContext | None) -> EllipticContext:
+    """ctx when it carries the spec's nome, else a default context for the spec."""
+    if ctx is None or ctx.p != spec.nome:
+        return make_context(spec.base, spec.nome)
+    return ctx
 
 
 def eval_rFs(spec: SeriesSpec) -> complex:
@@ -169,7 +166,7 @@ def eval_V12(spec: SeriesSpec, ctx: EllipticContext | None = None) -> complex:
             spec.nome,
             spec.argument,
             spec.terms,
-            _nfac(spec, ctx),
+            _spec_context(spec, ctx).theta_factors,
         )
     except ZeroDivisionError as exc:
         raise SingularParameterError(str(exc)) from None
@@ -211,10 +208,7 @@ def series_terms(spec: SeriesSpec, ctx: EllipticContext | None = None) -> Iterat
             yield num / den * sign * spec.argument**k
         return
     # well-poised families share the term shape
-    if ctx is None or ctx.p != spec.nome:
-        from .context import make_context
-
-        ctx = make_context(q, spec.nome)
+    ctx = _spec_context(spec, ctx)
     a = spec.top[0]
     bs = spec.top[1:]
     th_a = scalar.theta(a, ctx)

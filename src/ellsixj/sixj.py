@@ -229,7 +229,9 @@ def gbt_row(
 
         C_k^{N+1} = B_k C_k^N + A_{k-1} C_{k-1}^N,
 
-    where A and B split the new factor of h_{N+1} over the two legs.
+    where A and B split the new factor of h_{N+1} over the two legs.  This
+    is the lattice sweep of _path_sums with A on the right steps and B on
+    the up steps, the corner (k, n - k) holding C_k^n.
     """
     check = basis_valid(BasisPair(b, c, N), ctx)
     if not check:
@@ -256,14 +258,11 @@ def gbt_row(
                 _efactors(ctx, num), _efactors(ctx, den), "expansion prefactor"
             )
         return out
-    row = np.array([1.0 + 0j])
-    for n in range(N):
-        nxt = np.zeros(n + 2, dtype=complex)
-        for k in range(n + 1):
-            nxt[k] += _gbt_B(k, n, a, b, c, ctx) * row[k]
-            nxt[k + 1] += _gbt_A(k, n, a, b, c, ctx) * row[k]
-        row = nxt
-    return row
+
+    def step(x, y, right):
+        return (_gbt_A if right else _gbt_B)(x, x + y, a, b, c, ctx)
+
+    return np.array(_path_sums(N, step))
 
 
 def gbt_coeff(
@@ -427,10 +426,12 @@ def R_double_sum(quad: ParamQuad, mode: GbtMode = GbtMode.RECURRENCE) -> CoeffMa
     _require_valid(quad)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
     q = ctx.q
-    second = [gbt_row(b, c * q**j, d, N - j, ctx, mode) for j in range(N + 1)]
+    # Python complex arithmetic: an overflow here reaches CoeffMatrix as
+    # inf/NaN, which it rejects, without numpy warnings on the way
+    second = [gbt_row(b, c * q**j, d, N - j, ctx, mode).tolist() for j in range(N + 1)]
     ent = np.zeros((N + 1, N + 1), dtype=complex)
     for k in range(N + 1):
-        first = gbt_row(a, c, b * q ** (N - k), k, ctx, mode)
+        first = gbt_row(a, c, b * q ** (N - k), k, ctx, mode).tolist()
         for l in range(N + 1):
             acc = 0j
             for j in range(min(k, l) + 1):

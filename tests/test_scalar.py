@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ellsixj
 from conftest import rel
-from ellsixj import scalar
+from ellsixj import backend, scalar
 from ellsixj.context import EllipticContext, make_context
 from ellsixj.errors import DomainError, SingularParameterError
+from ellsixj.series import eval_V12, jackson_spec
 
 
 def _rng(seed):
@@ -180,3 +182,25 @@ class TestContext:
         loose = make_context(0.4, p=0.3, theta_eps=1e-10)
         tight = make_context(0.4, p=0.3, theta_eps=1e-18)
         assert tight.theta_factors > loose.theta_factors
+
+
+def test_kernels_are_called_through_the_backend_module(monkeypatch, ell_ctx):
+    # perfbench keys its results on BACKEND and counts kernel calls by
+    # replacing the attributes of backend.kernels
+    assert ellsixj.BACKEND == "python"
+    for name in ("theta", "qpoch", "epoch", "vwp_sum", "phi_sum", "f_sum"):
+        assert callable(getattr(backend.kernels, name))
+    calls = []
+    inner = backend.kernels.theta
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(backend.kernels, "theta", counted)
+    scalar.theta(0.7 + 0.2j, ell_ctx)
+    assert len(calls) == 1
+    spec = jackson_spec(1.21 + 0.33j, 0.77 - 0.41j, 1.63 + 0.12j, 0.91 + 0.54j, 3, ell_ctx)
+    calls.clear()
+    eval_V12(spec, ell_ctx)
+    assert calls

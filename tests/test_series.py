@@ -7,7 +7,7 @@ import pytest
 
 from conftest import rel
 from ellsixj import scalar
-from ellsixj.errors import BalancingError, DomainError
+from ellsixj.errors import BalancingError, DomainError, SingularParameterError
 from ellsixj.series import (
     SeriesSpec,
     eval_V12,
@@ -138,3 +138,24 @@ def test_series_terms_consistency():
 def test_unknown_family_rejected():
     with pytest.raises(DomainError):
         SeriesSpec("X", (1.0,), (), 0j, 0j, 1.0, 0)
+
+
+_Q = 0.5
+
+
+@pytest.mark.parametrize(
+    "evaluate, spec, message",
+    [
+        (eval_rphi_s, phi_spec((_Q**-2,), (_Q**-1,), _Q, 0.3, 2),
+         "denominator Pochhammer factor vanishes at term 2"),
+        (eval_W, w_spec(1.0, (0.7, _Q**-1), _Q, _Q, 1),
+         "well-poised leading factor theta(a) vanishes"),
+        (eval_W, w_spec(0.9, (0.0, _Q**-1), _Q, _Q, 1),
+         "well-poised parameter b = 0"),
+    ],
+    ids=["phi-denominator", "w-leading-theta", "w-zero-parameter"],
+)
+def test_singular_kernel_denominators_raise(evaluate, spec, message):
+    with pytest.raises(SingularParameterError) as exc:
+        evaluate(spec)
+    assert str(exc.value) == message

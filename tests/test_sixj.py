@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -109,11 +110,13 @@ def test_paths_match_recurrence_past_small_N(level):
 
 
 def test_non_finite_matrix_raises():
-    # the entries of this quad overflow at N = 20; no route may return them
+    # the entries of this quad overflow at N = 20; no route may return
+    # them, and none may warn on the way to the error
     ctx = make_context(0.41, p=0.17)
     quad = ParamQuad(1.2 + 0.3j, 0.8 - 0.2j, 1.1 + 0.4j, 0.7 + 0.2j, 20, ctx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for route in (Route.RECURRENCE, Route.PATHS):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (Route.RECURRENCE, Route.PATHS, Route.EXPLICIT):
             with pytest.raises(DomainError, match="N = 20"):
                 R_matrix(quad, route)
 
