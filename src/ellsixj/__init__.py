@@ -86,12 +86,10 @@ from .sixj import (
     apply_symmetry,
     band_quad,
     elliptic_W6j,
-    gbt_coeff,
     gbt_row,
     krawtchouk_K,
     krawtchouk_inverse,
     krawtchouk_matrix,
-    limit_transitions,
     multiconv_rhs,
     paths_gf,
     paths_qbinomial,

@@ -43,7 +43,7 @@ def parse_complex(s: str) -> complex:
     return complex(float(s), 0.0)
 
 
-def _tol(args, fallback: float = 1e-9) -> float:
+def _tol(args, fallback: float | None) -> float | None:
     if getattr(args, "tol", None) is not None:
         return args.tol
     env = os.environ.get("SIXJ_TOL")
@@ -206,7 +206,7 @@ def run_command(argv) -> int:
             N_max=args.N_max,
             gen_delta=args.gen_delta,
             p_max=args.p_max,
-            tol=args.tol if args.tol is not None else _env_tol(),
+            tol=_tol(args, None),
         )
         names = set(args.suite) if args.suite else {"all"}
         agg = run_suite(names, cfg)
@@ -218,11 +218,6 @@ def run_command(argv) -> int:
     except (SixjError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _env_tol() -> float | None:
-    env = os.environ.get("SIXJ_TOL")
-    return float(env) if env else None
 
 
 def main() -> None:

@@ -46,7 +46,6 @@ from .context import make_context
 from .errors import DomainError, SamplingError, SixjError
 from .series import eval_V12, jackson_rhs, jackson_spec, series_terms
 from .sixj import (
-    LimitKind,
     ParamQuad,
     Route,
     Symmetry,
@@ -55,7 +54,10 @@ from .sixj import (
     apply_symmetry,
     krawtchouk_inverse,
     krawtchouk_matrix,
-    limit_transitions,
+    limit_ell_to_trig,
+    limit_h_product,
+    limit_trig_to_qkraw,
+    limit_trig_to_qracah,
     multiconv_rhs,
     paths_qbinomial,
     qracah_matrix,
@@ -609,20 +611,15 @@ def verify_limits(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Verif
         a, x = _draw(cfg, rng), _draw(cfg, rng)
         k = int(rng.integers(1, 4))
         reps = [
-            limit_transitions(
-                LimitKind.H_PRODUCT_LIMITS, {"a": a, "x": x, "k": k, "q": q}
+            limit_h_product(a=a, x=x, k=k, q=q),
+            limit_trig_to_qracah(quad=quad),
+            limit_trig_to_qkraw(
+                a=quad.a, b=quad.b, d=quad.d,
+                k=int(rng.integers(0, N + 1)),
+                l=int(rng.integers(0, N + 1)),
+                N=N, q=q,
             ),
-            limit_transitions(LimitKind.TRIG_TO_QRACAH, {"quad": quad}),
-            limit_transitions(
-                LimitKind.TRIG_TO_QKRAW,
-                {
-                    "a": quad.a, "b": quad.b, "d": quad.d,
-                    "k": int(rng.integers(0, N + 1)),
-                    "l": int(rng.integers(0, N + 1)),
-                    "N": N, "q": q,
-                },
-            ),
-            limit_transitions(LimitKind.ELL_TO_TRIG, {"quad": quad}),
+            limit_ell_to_trig(quad=quad),
         ]
         res = max(miss(rep) for rep in reps)
         if perturb:

@@ -265,15 +265,6 @@ def gbt_row(
     return np.array(_path_sums(N, step))
 
 
-def gbt_coeff(
-    k: int, N: int, a: complex, b: complex, c: complex, ctx: EllipticContext,
-    mode: GbtMode = GbtMode.RECURRENCE,
-) -> complex:
-    if not 0 <= k <= N:
-        raise DomainError("need 0 <= k <= N")
-    return gbt_row(a, b, c, N, ctx, mode)[k]
-
-
 def _gbt_A(k, n, a, b, c, ctx) -> complex:
     q = ctx.q
     num = scalar.thetas(ctx, a * c * q ** (2 * n - k), a * q**k / c)
@@ -416,7 +407,7 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
 # -- route RECURRENCE (two-step composition) ---------------------------------
 
 
-def R_double_sum(quad: ParamQuad, mode: GbtMode = GbtMode.RECURRENCE) -> CoeffMatrix:
+def R_double_sum(quad: ParamQuad) -> CoeffMatrix:
     """Compose two one-parameter expansions.
 
     First h_k(x; a) is expanded over (c, b q^{N-k}) and the b-legs merged;
@@ -428,15 +419,14 @@ def R_double_sum(quad: ParamQuad, mode: GbtMode = GbtMode.RECURRENCE) -> CoeffMa
     q = ctx.q
     # Python complex arithmetic: an overflow here reaches CoeffMatrix as
     # inf/NaN, which it rejects, without numpy warnings on the way
-    second = [gbt_row(b, c * q**j, d, N - j, ctx, mode).tolist() for j in range(N + 1)]
+    second = [gbt_row(b, c * q**j, d, N - j, ctx).tolist() for j in range(N + 1)]
     ent = np.zeros((N + 1, N + 1), dtype=complex)
     for k in range(N + 1):
-        first = gbt_row(a, c, b * q ** (N - k), k, ctx, mode).tolist()
+        first = gbt_row(a, c, b * q ** (N - k), k, ctx).tolist()
         for l in range(N + 1):
             acc = 0j
             for j in range(min(k, l) + 1):
-                if l - j <= N - j:
-                    acc += first[j] * second[j][l - j]
+                acc += first[j] * second[j][l - j]
             ent[k, l] = acc
     return CoeffMatrix(ent, Route.RECURRENCE, quad)
 
@@ -572,15 +562,7 @@ def _compositions(total: int, caps) -> list:
     return out
 
 
-def multiconv_rhs(
-    ks,
-    l: int,
-    Ms,
-    quad: ParamQuad,
-    sigma,
-    tau,
-    route: Route = Route.EXPLICIT,
-) -> complex:
+def multiconv_rhs(ks, l: int, Ms, quad: ParamQuad, sigma, tau) -> complex:
     """Multifactor convolution sum.
 
     sum over m_1 + ... + m_n = l of  prod_i  R_{k_i}^{m_i} with parameters
@@ -588,6 +570,9 @@ def multiconv_rhs(
     where |v|_i^pi sums v_j over the indices j ranked before i by pi, and
     the c/d shifts use the identity order.  The value is independent of
     sigma and tau.
+
+    Each factor is one closed-form entry of its sub-quad; an entry whose
+    closed form is resonant takes the collocation value R_explicit gives it.
     """
     n = len(ks)
     if len(Ms) != n or sorted(sigma) != list(range(n)) or sorted(tau) != list(range(n)):
@@ -601,21 +586,24 @@ def multiconv_rhs(
     mkshift = [
         sum(Ms[j] - ks[j] for j in range(n) if tau[j] < tau[i]) for i in range(n)
     ]
-    cache: dict = {}
 
     def entry(i: int, cpow: int, dpow: int, mi: int) -> complex:
-        key = (Ms[i], kshift[i], mkshift[i], cpow, dpow)
-        if key not in cache:
-            sub = ParamQuad(
-                a * q ** kshift[i],
-                b * q ** mkshift[i],
-                c * q**cpow,
-                d * q**dpow,
-                Ms[i],
-                ctx,
-            )
-            cache[key] = R_matrix(sub, route).entries
-        return cache[key][ks[i], mi]
+        sub = ParamQuad(
+            a * q ** kshift[i],
+            b * q ** mkshift[i],
+            c * q**cpow,
+            d * q**dpow,
+            Ms[i],
+            ctx,
+        )
+        _require_valid(sub)
+        try:
+            value = _r_entry_explicit(sub, ks[i], mi)
+        except SingularParameterError:
+            return R_explicit(sub).entries[ks[i], mi]
+        if not cmath.isfinite(value):
+            raise DomainError(f"non-finite matrix entries at N = {sub.N}")
+        return value
 
     total = 0j
     for m in _compositions(l, Ms):
@@ -802,18 +790,6 @@ def limit_ell_to_trig(quad: ParamQuad, p_values=(1e-3, 1e-4)) -> LimitReport:
         _decay_window(p_values),
         extra_residual=extra,
     )
-
-
-def limit_transitions(kind: LimitKind, inputs: dict) -> LimitReport:
-    """Dispatch a limit check by kind; `inputs` holds its parameters."""
-    kind = LimitKind(kind)
-    if kind == LimitKind.H_PRODUCT_LIMITS:
-        return limit_h_product(**inputs)
-    if kind == LimitKind.TRIG_TO_QRACAH:
-        return limit_trig_to_qracah(**inputs)
-    if kind == LimitKind.TRIG_TO_QKRAW:
-        return limit_trig_to_qkraw(**inputs)
-    return limit_ell_to_trig(**inputs)
 
 
 # -- statistical-mechanics normalization --------------------------------------

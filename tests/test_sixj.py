@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_quad, rel
-from ellsixj import scalar
+from ellsixj import scalar, sixj
 from ellsixj.basis import h_value
 from ellsixj.context import make_context
 from ellsixj.errors import DomainError
@@ -34,7 +34,10 @@ from ellsixj.sixj import (
     krawtchouk_addition_sides,
     krawtchouk_inverse,
     krawtchouk_matrix,
-    limit_transitions,
+    limit_ell_to_trig,
+    limit_h_product,
+    limit_trig_to_qkraw,
+    limit_trig_to_qracah,
     multiconv_rhs,
     paths_gf,
     paths_qbinomial,
@@ -327,6 +330,39 @@ def test_multifactor_fusion_is_permutation_invariant():
         assert rel(v, fused) < 1e-9
 
 
+@pytest.mark.parametrize("level", [Level.TRIG, Level.ELLIPTIC])
+def test_multiconv_rhs_builds_no_sub_matrix(level, monkeypatch):
+    # each factor is one closed-form entry: neither a route nor the
+    # explicit matrix of a sub-quad may be built on a generic quad
+    quad = draw_quad(44, 3, level)
+    fused = R_explicit(quad).entries
+    cases = [
+        ((k1, k2), l, (1, 2), sigma, tau)
+        for sigma in ((0, 1), (1, 0))
+        for tau in ((0, 1), (1, 0))
+        for k1 in range(2)
+        for k2 in range(3)
+        for l in range(4)
+    ]
+    cases += [
+        (ks, l, (1, 1, 1), sigma, tau)
+        for ks in ((1, 0, 1), (0, 1, 1))
+        for l in range(4)
+        for sigma in itertools.permutations(range(3))
+        for tau in (tuple(range(3)), (2, 0, 1))
+    ]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("multiconv_rhs built a sub-matrix")
+
+    monkeypatch.setattr(sixj, "R_matrix", no_build)
+    monkeypatch.setattr(sixj, "R_explicit", no_build)
+    scale = float(np.abs(fused).max())
+    for ks, l, Ms, sigma, tau in cases:
+        rhs = multiconv_rhs(ks, l, Ms, quad, sigma, tau)
+        assert abs(fused[sum(ks), l] - rhs) / scale < 1e-9
+
+
 # -- limit transitions ---------------------------------------------------------
 
 
@@ -334,21 +370,14 @@ def test_limit_reports_pass_and_carry_orders():
     quad = draw_quad(46, 2)
     q = quad.ctx.q
     reps = {
-        LimitKind.H_PRODUCT_LIMITS: limit_transitions(
-            LimitKind.H_PRODUCT_LIMITS,
-            {"a": 0.83 + 0.31j, "x": 1.24 - 0.45j, "k": 2, "q": q},
+        LimitKind.H_PRODUCT_LIMITS: limit_h_product(
+            a=0.83 + 0.31j, x=1.24 - 0.45j, k=2, q=q
         ),
-        LimitKind.TRIG_TO_QRACAH: limit_transitions(
-            LimitKind.TRIG_TO_QRACAH, {"quad": quad}
+        LimitKind.TRIG_TO_QRACAH: limit_trig_to_qracah(quad=quad),
+        LimitKind.TRIG_TO_QKRAW: limit_trig_to_qkraw(
+            a=quad.a, b=quad.b, d=quad.d, k=1, l=1, N=quad.N, q=q
         ),
-        LimitKind.TRIG_TO_QKRAW: limit_transitions(
-            LimitKind.TRIG_TO_QKRAW,
-            {"a": quad.a, "b": quad.b, "d": quad.d, "k": 1, "l": 1,
-             "N": quad.N, "q": q},
-        ),
-        LimitKind.ELL_TO_TRIG: limit_transitions(
-            LimitKind.ELL_TO_TRIG, {"quad": quad}
-        ),
+        LimitKind.ELL_TO_TRIG: limit_ell_to_trig(quad=quad),
     }
     for rep in reps.values():
         assert rep.passed, rep
@@ -367,10 +396,9 @@ def test_qkraw_limit_with_pinned_c_misses_the_window():
     # holding c fixed makes the c-error floor the decay, which the window
     # logic must report as a failure rather than paper over
     quad = draw_quad(47, 2)
-    rep = limit_transitions(
-        LimitKind.TRIG_TO_QKRAW,
-        {"a": quad.a, "b": quad.b, "d": quad.d, "k": 1, "l": 0,
-         "N": quad.N, "q": quad.ctx.q, "c": 1e-4 + 0j},
+    rep = limit_trig_to_qkraw(
+        a=quad.a, b=quad.b, d=quad.d, k=1, l=0, N=quad.N, q=quad.ctx.q,
+        c=1e-4 + 0j,
     )
     assert not rep.passed
 
