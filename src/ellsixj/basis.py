@@ -8,9 +8,9 @@ which are symmetric in xi <-> 1/xi, and two-sided bases
 
     { h_l(x; c) h_{N-l}(x; d) }_{l=0..N}.
 
-`expand_by_solve` expands an arbitrary function in such a basis by dense
-collocation; it is the definition-level oracle every closed formula in
-`sixj` is checked against.
+`expand_by_solve` expands a batch of functions in such a basis by dense
+collocation, filling one collocation matrix for the whole batch; it is the
+definition-level oracle every closed formula in `sixj` is checked against.
 """
 
 from __future__ import annotations
@@ -159,44 +159,46 @@ def collocation_points(N: int, radius: float = DEFAULT_RADIUS, phase: float = 0.
 
 
 def solve_in_basis(
-    f: Callable[[complex], complex],
+    fs: Sequence[Callable[[complex], complex]],
     basis_fns: Sequence[Callable[[complex], complex]],
     points: Sequence[complex],
 ) -> tuple[np.ndarray, float]:
-    """Solve sum_l lam_l basis_l(x_j) = f(x_j); returns (lam, cond).
+    """Solve sum_l lam_l basis_l(x_j) = f(x_j) for every f in fs.
 
-    Plain dense solve with partial pivoting plus one step of iterative
-    refinement, which is enough at these sizes to push the forward error
-    to the order of the condition number times machine epsilon.
+    Returns (lam, cond), lam holding one row per f.  The matrix and its
+    condition number are built once for the batch.  Each right-hand side
+    gets its own dense solve with partial pivoting plus one step of
+    iterative refinement, which is enough at these sizes to push the
+    forward error to the order of the condition number times machine
+    epsilon; one multi-column solve would round differently.
     """
     n = len(basis_fns)
     if len(points) != n:
         raise DomainError("need exactly one point per basis function")
-    A = np.empty((n, n), dtype=complex)
-    rhs = np.empty(n, dtype=complex)
-    for j, x in enumerate(points):
-        rhs[j] = f(x)
-        for l, g in enumerate(basis_fns):
-            A[j, l] = g(x)
+    A = np.array([[g(x) for g in basis_fns] for x in points], dtype=complex)
+    rhs = np.array([[f(x) for x in points] for f in fs], dtype=complex)
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise DomainError("non-finite collocation system")
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedError(f"collocation matrix condition {cond:.3e}")
-    lam = np.linalg.solve(A, rhs)
-    lam += np.linalg.solve(A, rhs - A @ lam)
+    lam = np.empty((len(fs), n), dtype=complex)
+    for i, b in enumerate(rhs):
+        lam[i] = np.linalg.solve(A, b)
+        lam[i] += np.linalg.solve(A, b - A @ lam[i])
     return lam, cond
 
 
 def expand_by_solve(
-    f: Callable[[complex], complex],
+    fs: Sequence[Callable[[complex], complex]],
     pair: BasisPair,
     ctx: EllipticContext,
-    radius: float = DEFAULT_RADIUS,
 ) -> np.ndarray:
-    """Coefficients of f in the pair basis, by collocation.
+    """Coefficients of each f in fs in the pair basis, one row per f.
 
-    On ill-conditioning the radius is perturbed and the points resampled,
-    up to five attempts.  Points are xi-values; the basis is evaluated at
-    x = xi + 1/xi.
+    All functions share one collocation matrix.  On ill-conditioning the
+    radius is perturbed and the points resampled, up to five attempts.
+    Points are xi-values; the basis is evaluated at x = xi + 1/xi.
     """
     check = basis_valid(pair, ctx)
     if not check:
@@ -205,9 +207,9 @@ def expand_by_solve(
     fns = [h_pair_fn(pair.c, pair.d, l, N, ctx) for l in range(N + 1)]
     last: Exception | None = None
     for attempt, scale in enumerate((1.0, 1.12, 0.91, 1.27, 0.78)):
-        pts = [xi + 1.0 / xi for xi in collocation_points(N, radius * scale, 0.37 + 0.11 * attempt)]
+        xis = collocation_points(N, DEFAULT_RADIUS * scale, 0.37 + 0.11 * attempt)
         try:
-            lam, _ = solve_in_basis(f, fns, pts)
+            lam, _ = solve_in_basis(fs, fns, [xi + 1.0 / xi for xi in xis])
             return lam
         except IllConditionedError as exc:
             last = exc
@@ -219,12 +221,11 @@ def expansion_residual(
     coeffs: Sequence[complex],
     pair: BasisPair,
     ctx: EllipticContext,
-    radius: float = 1.45,
 ) -> float:
     """Relative max-residual of an expansion at held-out check points."""
     N = pair.N
     fns = [h_pair_fn(pair.c, pair.d, l, N, ctx) for l in range(N + 1)]
-    pts = [xi + 1.0 / xi for xi in collocation_points(2 * N + 1, radius, 0.61)]
+    pts = [xi + 1.0 / xi for xi in collocation_points(2 * N + 1, 1.45, 0.61)]
     worst = 0.0
     scale = 0.0
     for x in pts:

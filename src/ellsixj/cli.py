@@ -2,10 +2,11 @@
 
 Verbs: theta, series, sixj, wilson, sklyanin, verify.  Complex values are
 written "re" or "re,im".  Output goes to stdout as a single JSON document
-(numbers at 17 significant digits) or, for matrices, as CSV with header
-k,l,re,im.  Exit codes: 0 success or all-pass, 1 verification failure,
-2 usage error.  The environment variable SIXJ_TOL supplies a default
-tolerance; an explicit --tol wins.
+(numbers at 17 significant digits) or, for sixj matrices, as CSV with
+header k,l,re,im.  Each verb accepts only the options it reads.  Exit
+codes: 0 success or all-pass, 1 verification failure, 2 usage error.  The
+environment variable SIXJ_TOL supplies the default tolerance of sklyanin
+and verify; an explicit --tol wins.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def parse_complex(s: str) -> complex:
 
 
 def _tol(args, fallback: float | None) -> float | None:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return args.tol
     env = os.environ.get("SIXJ_TOL")
     if env:
@@ -72,16 +73,16 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ellsixj")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--theta-eps", type=float, default=1e-16)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    theta_eps = argparse.ArgumentParser(add_help=False)
+    theta_eps.add_argument("--theta-eps", type=float, default=1e-16)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None)
 
-    p = sub.add_parser("theta", parents=[common])
+    p = sub.add_parser("theta", parents=[theta_eps])
     p.add_argument("--x", type=parse_complex, required=True)
     p.add_argument("--p", type=parse_complex, default=0j)
 
-    p = sub.add_parser("series", parents=[common])
+    p = sub.add_parser("series", parents=[theta_eps])
     p.add_argument("--family", choices=("F", "phi", "W", "V12"), required=True)
     p.add_argument("--top", type=parse_complex, action="append", default=[])
     p.add_argument("--bottom", type=parse_complex, action="append", default=[])
@@ -92,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=parse_complex, default=1.0 + 0j)
     p.add_argument("--terms", type=int, required=True)
 
-    p = sub.add_parser("sixj", parents=[common])
+    p = sub.add_parser("sixj", parents=[theta_eps])
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument(
         "--level",
         choices=("krawtchouk", "qracah", "trig", "elliptic"),
@@ -109,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=parse_complex, default=complex(DEFAULT_Q))
     p.add_argument("--p", type=parse_complex, default=0j)
 
-    p = sub.add_parser("wilson", parents=[common])
+    p = sub.add_parser("wilson")
     for name in ("a", "b", "c", "d", "e", "f"):
         p.add_argument(f"--{name}", type=parse_complex, required=True)
     p.add_argument("--q", type=parse_complex, default=complex(DEFAULT_Q))
@@ -118,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=parse_complex)
     p.add_argument("--k", type=int, help="grid index used when --z is absent")
 
-    p = sub.add_parser("sklyanin", parents=[common])
+    p = sub.add_parser("sklyanin", parents=[theta_eps, tol])
     for name in ("a", "b", "c"):
         p.add_argument(f"--{name}", type=parse_complex, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -126,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=parse_complex, default=complex(DEFAULT_Q))
     p.add_argument("--p", type=parse_complex, default=0j)
 
-    p = sub.add_parser("verify", parents=[common])
+    p = sub.add_parser("verify", parents=[tol])
     p.add_argument("--suite", action="append", default=None)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)

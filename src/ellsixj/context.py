@@ -2,8 +2,8 @@
 
 A context bundles the base q, a fixed square root of q (several operators
 shift arguments by half a q-power, and the branch must be chosen once and
-used consistently), the elliptic nome p, and numerical knobs.  p == 0
-recovers the trigonometric level exactly.
+used consistently), the elliptic nome p, and the theta truncation target.
+p == 0 recovers the trigonometric level exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import DomainError
 
 #: default truncation target for theta tails
 DEFAULT_THETA_EPS = 1e-16
-#: default relative tolerance for context-level consistency checks
+#: relative tolerance of the q_half**2 == q check
 DEFAULT_TOL = 1e-9
 
 
@@ -30,7 +30,6 @@ class EllipticContext:
     q_half: complex
     p: complex = 0j
     theta_eps: float = DEFAULT_THETA_EPS
-    tol: float = DEFAULT_TOL
     # number of factor pairs kept in truncated theta products; derived
     theta_factors: int = field(init=False, default=0)
 
@@ -40,10 +39,10 @@ class EllipticContext:
             raise DomainError("context parameters must be finite")
         if q == 0:
             raise DomainError("q = 0 is outside the supported regime")
-        if self.theta_eps <= 0 or self.tol <= 0:
-            raise DomainError("theta_eps and tol must be positive")
-        if abs(qh * qh - q) > self.tol * abs(q):
-            raise DomainError("q_half**2 does not match q within tol")
+        if self.theta_eps <= 0:
+            raise DomainError("theta_eps must be positive")
+        if abs(qh * qh - q) > DEFAULT_TOL * abs(q):
+            raise DomainError("q_half**2 does not match q")
         if abs(p) >= 1:
             raise DomainError("the nome must satisfy |p| < 1")
         nfac = 0
@@ -60,23 +59,20 @@ class EllipticContext:
         return self.p == 0
 
     def with_nome(self, p: complex) -> "EllipticContext":
-        return EllipticContext(self.q, self.q_half, p, self.theta_eps, self.tol)
+        return EllipticContext(self.q, self.q_half, p, self.theta_eps)
 
     def inverse_base(self) -> "EllipticContext":
         """Context for the same nome with q replaced by 1/q."""
-        return EllipticContext(
-            1 / self.q, 1 / self.q_half, self.p, self.theta_eps, self.tol
-        )
+        return EllipticContext(1 / self.q, 1 / self.q_half, self.p, self.theta_eps)
 
 
 def make_context(
     q: complex,
     p: complex = 0j,
     theta_eps: float = DEFAULT_THETA_EPS,
-    tol: float = DEFAULT_TOL,
     q_half: complex | None = None,
 ) -> EllipticContext:
     """Build a context, defaulting q_half to the principal square root."""
     if q_half is None:
         q_half = cmath.sqrt(q)
-    return EllipticContext(q, q_half, p, theta_eps, tol)
+    return EllipticContext(q, q_half, p, theta_eps)

@@ -363,7 +363,7 @@ def verify_expansion(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ve
         def f(x):
             return sum(w * g(x) for w, g in zip(lam, fns))
 
-        coeffs = np.array(expand_by_solve(f, pair, ctx), dtype=complex)
+        coeffs = expand_by_solve([f], pair, ctx)[0]
         if perturb:
             j = int(np.argmax(np.abs(coeffs)))
             coeffs[j] *= 1.0 + perturb

@@ -180,7 +180,7 @@ def qracah_C(k: int, l: int, quad: ParamQuad) -> complex:
     ]
     pref = q ** (l * (l - N)) * scalar.q_binomial(N, l, q)
     pref *= _balanced_ratio(
-        _qfactors(q, num), _qfactors(q, den), "q-Racah prefactor"
+        _efactors(quad.ctx, num), _efactors(quad.ctx, den), "q-Racah prefactor"
     )
     n = min(k, l)
     top = (
@@ -286,17 +286,6 @@ def _gbt_B(k, n, a, b, c, ctx) -> complex:
 # -- prefactor plumbing ------------------------------------------------------
 
 
-def _qfactors(q: complex, pochs) -> list:
-    """Individual factors (1 - a q^j) of a list of (a, length) pairs."""
-    out = []
-    for a, n in pochs:
-        aj = a
-        for _ in range(n):
-            out.append(1.0 - aj)
-            aj *= q
-    return out
-
-
 def _efactors(ctx: EllipticContext, pochs) -> list:
     """Individual theta factors of a list of (a, length) pairs."""
     out = []
@@ -380,27 +369,23 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     """Full coefficient matrix from the closed form.
 
     Individual entries whose prefactor or series is resonant (while the
-    basis itself is fine) are recomputed through the collocation route and
-    reported in `fallback`.
+    basis itself is fine) are taken from R_solve and reported in
+    `fallback`.
     """
     _require_valid(quad)
     N = quad.N
     ent = np.empty((N + 1, N + 1), dtype=complex)
     flagged = []
-    solved_rows: dict[int, np.ndarray] = {}
     for k in range(N + 1):
         for l in range(N + 1):
             try:
                 ent[k, l] = _r_entry_explicit(quad, k, l)
             except SingularParameterError:
-                if k not in solved_rows:
-                    solved_rows[k] = expand_by_solve(
-                        h_pair_fn(quad.a, quad.b, k, N, quad.ctx),
-                        quad.pair_cd(),
-                        quad.ctx,
-                    )
-                ent[k, l] = solved_rows[k][l]
                 flagged.append((k, l))
+    if flagged:
+        solved = R_solve(quad).entries
+        for k, l in flagged:
+            ent[k, l] = solved[k, l]
     return CoeffMatrix(ent, Route.EXPLICIT, quad, tuple(flagged))
 
 
@@ -493,14 +478,12 @@ def R_paths(quad: ParamQuad) -> CoeffMatrix:
 
 
 def R_solve(quad: ParamQuad) -> CoeffMatrix:
-    """Rows straight from the definition, by collocation."""
+    """Rows straight from the definition, by one collocation system."""
     N = quad.N
-    ent = np.empty((N + 1, N + 1), dtype=complex)
-    for k in range(N + 1):
-        ent[k] = expand_by_solve(
-            h_pair_fn(quad.a, quad.b, k, N, quad.ctx), quad.pair_cd(), quad.ctx
-        )
-    return CoeffMatrix(ent, Route.SOLVE, quad)
+    rows = [h_pair_fn(quad.a, quad.b, k, N, quad.ctx) for k in range(N + 1)]
+    return CoeffMatrix(
+        expand_by_solve(rows, quad.pair_cd(), quad.ctx), Route.SOLVE, quad
+    )
 
 
 def R_matrix(quad: ParamQuad, route: Route = Route.EXPLICIT) -> CoeffMatrix:
@@ -572,7 +555,7 @@ def multiconv_rhs(ks, l: int, Ms, quad: ParamQuad, sigma, tau) -> complex:
     sigma and tau.
 
     Each factor is one closed-form entry of its sub-quad; an entry whose
-    closed form is resonant takes the collocation value R_explicit gives it.
+    closed form is resonant takes the collocation value of R_solve.
     """
     n = len(ks)
     if len(Ms) != n or sorted(sigma) != list(range(n)) or sorted(tau) != list(range(n)):
@@ -600,7 +583,7 @@ def multiconv_rhs(ks, l: int, Ms, quad: ParamQuad, sigma, tau) -> complex:
         try:
             value = _r_entry_explicit(sub, ks[i], mi)
         except SingularParameterError:
-            return R_explicit(sub).entries[ks[i], mi]
+            return R_solve(sub).entries[ks[i], mi]
         if not cmath.isfinite(value):
             raise DomainError(f"non-finite matrix entries at N = {sub.N}")
         return value

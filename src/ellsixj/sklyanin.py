@@ -133,15 +133,12 @@ def operator_matrix(
     band violation.
     """
     target = BasisPair(ctx.q_half * lam, ctx.q_half * mu, N)
-    out = np.empty((N + 1, N + 1), dtype=complex)
-    for k in range(N + 1):
-        g = _h_product(lam, mu, k, N, ctx)
 
-        def image(x: complex) -> complex:
-            return apply_delta(op, g, xi_from_x(x))
+    def image(g):
+        return lambda x: apply_delta(op, g, xi_from_x(x))
 
-        out[:, k] = expand_by_solve(image, target, ctx)
-    return out
+    images = [image(_h_product(lam, mu, k, N, ctx)) for k in range(N + 1)]
+    return expand_by_solve(images, target, ctx).T
 
 
 def off_band_mass(mat: np.ndarray, band: int = 1) -> float:
@@ -206,17 +203,14 @@ def gevp_check(
     off = None
     if third is not None:
         op3 = DiffOpSpec.three(*third, N, ctx)
-        target = BasisPair(a, b, N)
-        mat = np.empty((N + 1, N + 1), dtype=complex)
-        for k in range(N + 1):
-            ek = _h_product(a, b, k, N, ctx)
 
-            def y_image(x: complex) -> complex:
-                xi = xi_from_x(x)
-                return apply_delta(op3, lambda z: apply_delta(op1, ek, z), xi)
+        def y_image(ek):
+            return lambda x: apply_delta(
+                op3, lambda z: apply_delta(op1, ek, z), xi_from_x(x)
+            )
 
-            mat[:, k] = expand_by_solve(y_image, target, ctx)
-        off = off_band_mass(mat)
+        images = [y_image(_h_product(a, b, k, N, ctx)) for k in range(N + 1)]
+        off = off_band_mass(expand_by_solve(images, BasisPair(a, b, N), ctx).T)
     return GevpReport(tuple(residuals), tuple(lambdas), off)
 
 

@@ -86,7 +86,7 @@ def test_expand_by_solve_round_trip(ell_ctx):
     def f(x):
         return sum(w * g(x) for w, g in zip(lam, fns))
 
-    got = expand_by_solve(f, pair, ell_ctx)
+    got = expand_by_solve([f], pair, ell_ctx)[0]
     assert rel(got, lam) < 1e-10
     assert expansion_residual(f, got, pair, ell_ctx) < 1e-10
 
@@ -94,7 +94,7 @@ def test_expand_by_solve_round_trip(ell_ctx):
 def test_expand_rejects_degenerate_basis(trig_ctx):
     pair = BasisPair(1.3 * trig_ctx.q, 1.3, 2)
     with pytest.raises(DomainError):
-        expand_by_solve(lambda x: x, pair, trig_ctx)
+        expand_by_solve([lambda x: x], pair, trig_ctx)
 
 
 def test_collocation_points_clear_of_branch_points():
@@ -111,13 +111,31 @@ def test_collocation_points_clear_of_branch_points():
 
 def test_solve_in_basis_contracts():
     with pytest.raises(DomainError):
-        solve_in_basis(lambda x: x, [lambda x: 1.0, lambda x: x], [2.1])
+        solve_in_basis([lambda x: x], [lambda x: 1.0, lambda x: x], [2.1])
     with pytest.raises(IllConditionedError):
         solve_in_basis(
-            lambda x: x,
+            [lambda x: x],
             [lambda x: 1.0 + 0j, lambda x: 1.0 + 0j],
             [0.3, 0.9],
         )
+    # a non-finite system is rejected before the SVD sees it
+    for fs, fns in (
+        ([lambda x: x], [lambda x: 1.0, lambda x: math.inf * x]),
+        ([lambda x: math.nan], [lambda x: 1.0, lambda x: x]),
+    ):
+        with pytest.raises(DomainError, match="non-finite collocation system"):
+            solve_in_basis(fs, fns, [0.3, 0.9])
+
+
+def test_batched_rows_match_single_solves(ell_ctx):
+    # one shared matrix must give each row exactly what its own solve gives
+    N = 4
+    pair = BasisPair(0.87 + 0.52j, 1.31 - 0.24j, N)
+    fs = [h_pair_fn(1.1 - 0.3j, 0.7 + 0.2j, k, N, ell_ctx) for k in range(N + 1)]
+    batch = expand_by_solve(fs, pair, ell_ctx)
+    assert batch.shape == (N + 1, N + 1)
+    for k, f in enumerate(fs):
+        assert np.array_equal(batch[k], expand_by_solve([f], pair, ell_ctx)[0])
 
 
 def test_wn_membership(ell_ctx):

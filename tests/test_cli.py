@@ -164,6 +164,23 @@ def test_usage_errors_exit_two(capsys):
     assert "error:" in err
 
 
+def test_verbs_reject_options_they_do_not_read(capsys):
+    theta = ["theta", "--x", "1", "--p", "0.2"]
+    wilson = ["wilson", "--a", "1.1", "--b", "0.9", "--c", "0.8", "--d", "1.2",
+              "--e", "0.7", "--f", "1.3", "--N", "2", "--n", "1"]
+    verify = ["verify", "--suite", "symmetry", "--trials", "1", "--N-max", "2"]
+    for argv in (
+        [*verify, "--theta-eps", "1e-12"],
+        [*verify, "--format", "csv"],
+        [*wilson, "--tol", "1e-3"],
+        [*wilson, "--theta-eps", "1e-12"],
+        [*theta, "--format", "csv"],
+        [*theta, "--tol", "1e-3"],
+    ):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 2 and out == ""
+
+
 def test_help_exits_cleanly(capsys):
     code, _, _ = _run(capsys, "--help")
     assert code == 0

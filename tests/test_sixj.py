@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import draw_quad, rel
-from ellsixj import scalar, sixj
+from ellsixj import basis, scalar, sixj
 from ellsixj.basis import h_value
 from ellsixj.context import make_context
-from ellsixj.errors import DomainError
+from ellsixj.errors import DomainError, IllConditionedError, SixjError
 from ellsixj.harness import LEVEL_TOL, Level, SampleConfig, Shape, sample_generic
 from ellsixj.sixj import (
     CoeffMatrix,
@@ -96,6 +96,32 @@ def test_explicit_records_fallback_entries():
     assert R.fallback
     direct = R_matrix(pinned, Route.SOLVE).entries
     assert rel(R.entries, direct) < 1e-8
+    for k, l in R.fallback:
+        assert R.entries[k, l] == direct[k, l]
+
+
+def test_solve_builds_one_collocation_system(monkeypatch):
+    quad = draw_quad(32, 4)
+    calls = []
+    real = basis.solve_in_basis
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(basis, "solve_in_basis", counting)
+    R_matrix(quad, Route.SOLVE)
+    assert len(calls) == 1
+
+
+def test_solve_raises_only_sixj_errors_at_large_N():
+    # the collocation matrix is hopeless at N = 16 and non-finite from
+    # N = 18; both must surface as SixjError, never as numpy's LinAlgError
+    ctx = make_context(0.41, p=0.17)
+    for N, err in ((16, IllConditionedError), (18, SixjError), (20, SixjError)):
+        quad = ParamQuad(1.2 + 0.3j, 0.8 - 0.2j, 1.1 + 0.4j, 0.7 + 0.2j, N, ctx)
+        with pytest.raises(err):
+            R_matrix(quad, Route.SOLVE)
 
 
 def test_route_requires_nondegenerate_basis(trig_ctx):
