@@ -13,7 +13,6 @@ verification harness for all of them live here.
 from .backend import BACKEND
 from .basis import (
     BasisPair,
-    MonomialSpec,
     basis_valid,
     collocation_points,
     expand_by_solve,
@@ -72,7 +71,6 @@ from .series import (
 )
 from .sixj import (
     CoeffMatrix,
-    GbtMode,
     LimitKind,
     LimitReport,
     ParamQuad,

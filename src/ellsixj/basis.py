@@ -48,17 +48,6 @@ def xi_from_x(x: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class MonomialSpec:
-    a: complex
-    k: int
-    N: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.N:
-            raise DomainError("need 0 <= k <= N")
-
-
-@dataclass(frozen=True)
 class BasisPair:
     c: complex
     d: complex

@@ -4,7 +4,8 @@ Verbs: theta, series, sixj, wilson, sklyanin, verify.  Complex values are
 written "re" or "re,im".  Output goes to stdout as a single JSON document
 (numbers at 17 significant digits) or, for sixj matrices, as CSV with
 header k,l,re,im.  Each verb accepts only the options it reads.  Exit
-codes: 0 success or all-pass, 1 verification failure, 2 usage error.  The
+codes: 0 success or all-pass, 1 verification failure, 2 usage error,
+141 (128 + SIGPIPE) when stdout closes early, e.g. under `| head`.  The
 environment variable SIXJ_TOL supplies the default tolerance of sklyanin
 and verify; an explicit --tol wins.
 """
@@ -34,6 +35,8 @@ from .wilson import WilsonParams, wilson_r
 from . import scalar
 
 DEFAULT_Q = 0.5
+#: exit status when stdout closes early, 128 + SIGPIPE
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_complex(s: str) -> complex:
@@ -73,16 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ellsixj")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    theta_eps = argparse.ArgumentParser(add_help=False)
-    theta_eps.add_argument("--theta-eps", type=float, default=1e-16)
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=None)
 
-    p = sub.add_parser("theta", parents=[theta_eps])
+    p = sub.add_parser("theta")
     p.add_argument("--x", type=parse_complex, required=True)
     p.add_argument("--p", type=parse_complex, default=0j)
 
-    p = sub.add_parser("series", parents=[theta_eps])
+    p = sub.add_parser("series")
     p.add_argument("--family", choices=("F", "phi", "W", "V12"), required=True)
     p.add_argument("--top", type=parse_complex, action="append", default=[])
     p.add_argument("--bottom", type=parse_complex, action="append", default=[])
@@ -93,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=parse_complex, default=1.0 + 0j)
     p.add_argument("--terms", type=int, required=True)
 
-    p = sub.add_parser("sixj", parents=[theta_eps])
+    p = sub.add_parser("sixj")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument(
         "--level",
@@ -120,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=parse_complex)
     p.add_argument("--k", type=int, help="grid index used when --z is absent")
 
-    p = sub.add_parser("sklyanin", parents=[theta_eps, tol])
+    p = sub.add_parser("sklyanin", parents=[tol])
     for name in ("a", "b", "c"):
         p.add_argument(f"--{name}", type=parse_complex, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -146,9 +147,7 @@ def run_command(argv) -> int:
 
     try:
         if args.verb == "theta":
-            ctx = make_context(
-                complex(DEFAULT_Q), p=args.p, theta_eps=args.theta_eps
-            )
+            ctx = make_context(complex(DEFAULT_Q), p=args.p)
             val = scalar.theta(args.x, ctx)
             print(_json_fragment({"x": args.x, "p": args.p, "value": val}))
             return 0
@@ -162,7 +161,7 @@ def run_command(argv) -> int:
                 spec = w_spec(args.a, args.b, args.q, args.z, args.terms)
             else:
                 spec = v12_spec(args.a, args.b, args.q, args.p, args.terms)
-            ctx = make_context(args.q, p=args.p, theta_eps=args.theta_eps)
+            ctx = make_context(args.q, p=args.p)
             val = eval_series(spec, ctx if args.family == "V12" else None)
             print(_json_fragment({"family": args.family, "value": val}))
             return 0
@@ -176,7 +175,7 @@ def run_command(argv) -> int:
                 mat = krawtchouk_matrix(args.N, args.a, args.b, args.c, args.d)
             else:
                 p = args.p if args.level == "elliptic" else 0j
-                ctx = make_context(args.q, p=p, theta_eps=args.theta_eps)
+                ctx = make_context(args.q, p=p)
                 quad = ParamQuad(args.a, args.b, args.c, args.d, args.N, ctx)
                 meta.update({"q": args.q, "p": p})
                 if args.level == "qracah":
@@ -196,7 +195,7 @@ def run_command(argv) -> int:
             return 0
 
         if args.verb == "sklyanin":
-            ctx = make_context(args.q, p=args.p, theta_eps=args.theta_eps)
+            ctx = make_context(args.q, p=args.p)
             res = eigenrelation_check(args.a, args.b, args.c, args.k, args.N, ctx)
             tol = _tol(args, 1e-7)
             print(_json_fragment({"residual": res, "tol": tol, "pass": res <= tol}))
@@ -223,7 +222,17 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

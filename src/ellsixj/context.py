@@ -2,8 +2,8 @@
 
 A context bundles the base q, a fixed square root of q (several operators
 shift arguments by half a q-power, and the branch must be chosen once and
-used consistently), the elliptic nome p, and the theta truncation target.
-p == 0 recovers the trigonometric level exactly.
+used consistently) and the elliptic nome p, which fixes the length of the
+truncated theta products.  p == 0 recovers the trigonometric level exactly.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 
-#: default truncation target for theta tails
-DEFAULT_THETA_EPS = 1e-16
+#: truncation target for theta tails
+THETA_EPS = 1e-16
 #: relative tolerance of the q_half**2 == q check
 DEFAULT_TOL = 1e-9
 
@@ -29,7 +29,6 @@ class EllipticContext:
     q: complex
     q_half: complex
     p: complex = 0j
-    theta_eps: float = DEFAULT_THETA_EPS
     # number of factor pairs kept in truncated theta products; derived
     theta_factors: int = field(init=False, default=0)
 
@@ -39,16 +38,14 @@ class EllipticContext:
             raise DomainError("context parameters must be finite")
         if q == 0:
             raise DomainError("q = 0 is outside the supported regime")
-        if self.theta_eps <= 0:
-            raise DomainError("theta_eps must be positive")
         if abs(qh * qh - q) > DEFAULT_TOL * abs(q):
             raise DomainError("q_half**2 does not match q")
         if abs(p) >= 1:
             raise DomainError("the nome must satisfy |p| < 1")
         nfac = 0
         if p != 0:
-            # |p|^J <= theta_eps with two guard factors
-            nfac = math.ceil(math.log(self.theta_eps) / math.log(abs(p))) + 2
+            # |p|^J <= THETA_EPS with two guard factors
+            nfac = math.ceil(math.log(THETA_EPS) / math.log(abs(p))) + 2
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "q_half", qh)
         object.__setattr__(self, "p", p)
@@ -59,20 +56,17 @@ class EllipticContext:
         return self.p == 0
 
     def with_nome(self, p: complex) -> "EllipticContext":
-        return EllipticContext(self.q, self.q_half, p, self.theta_eps)
+        return EllipticContext(self.q, self.q_half, p)
 
     def inverse_base(self) -> "EllipticContext":
         """Context for the same nome with q replaced by 1/q."""
-        return EllipticContext(1 / self.q, 1 / self.q_half, self.p, self.theta_eps)
+        return EllipticContext(1 / self.q, 1 / self.q_half, self.p)
 
 
 def make_context(
-    q: complex,
-    p: complex = 0j,
-    theta_eps: float = DEFAULT_THETA_EPS,
-    q_half: complex | None = None,
+    q: complex, p: complex = 0j, q_half: complex | None = None
 ) -> EllipticContext:
     """Build a context, defaulting q_half to the principal square root."""
     if q_half is None:
         q_half = cmath.sqrt(q)
-    return EllipticContext(q, q_half, p, theta_eps)
+    return EllipticContext(q, q_half, p)

@@ -71,8 +71,8 @@ def q_binomial(N: int, k: int, q: complex) -> complex:
 def theta(x: complex, ctx: EllipticContext) -> complex:
     """theta(x; p) = prod_{j>=0} (1 - p^j x)(1 - p^{j+1}/x), truncated.
 
-    The truncation length comes from ctx.theta_eps; with p == 0 the value
-    is exactly 1 - x.
+    The truncation length is ctx.theta_factors; with p == 0 the value is
+    exactly 1 - x.
     """
     _check_finite(x)
     if ctx.p != 0 and x == 0:

@@ -9,8 +9,9 @@ computed by four independent routes:
   EXPLICIT    closed form: balanced prefactor times a terminating
               very-well-poised series (twelve-over-eleven at the elliptic
               level, ten-over-nine below),
-  RECURRENCE  composition of two one-parameter expansions, each generated
-              by a Pascal-type recurrence,
+  RECURRENCE  composition of two one-parameter expansions, each from its
+              closed theta-product formula (RECURRENCE stays the route's
+              label, as in `--method recurrence`),
   PATHS       weighted lattice-path sum,
   SOLVE       dense collocation against the definition.
 
@@ -67,11 +68,6 @@ class Route(str, Enum):
     RECURRENCE = "recurrence"
     PATHS = "paths"
     SOLVE = "solve"
-
-
-class GbtMode(str, Enum):
-    CLOSED = "closed"
-    RECURRENCE = "recurrence"
 
 
 class Symmetry(str, Enum):
@@ -168,19 +164,21 @@ def qracah_C(k: int, l: int, quad: ParamQuad) -> complex:
     if not (0 <= k <= N and 0 <= l <= N):
         raise DomainError("need 0 <= k, l <= N")
     q = quad.ctx.q
-    num = [
-        (q ** (1 - N) * b / d, l),
+    # q^(l(l-N)) rides as one factor q^(l-N) on each factor of
+    # (q^(1-N) b/d)_l, which the interleaving pairs with (q^(l-N) c/d)_l
+    shift = q ** (l - N)
+    num = [f * shift for f in _efactors(quad.ctx, [(q ** (1 - N) * b / d, l)])]
+    num += _efactors(quad.ctx, [
         (q ** (1 - N) * b / c, N - l),
         (q ** (1 - k) * a / c, k),
-    ]
-    den = [
+    ])
+    den = _efactors(quad.ctx, [
         (q ** (l - N) * c / d, l),
         (q ** (-l) * d / c, N - l),
         (q ** (1 - N) * b / c, k),
-    ]
-    pref = q ** (l * (l - N)) * scalar.q_binomial(N, l, q)
-    pref *= _balanced_ratio(
-        _efactors(quad.ctx, num), _efactors(quad.ctx, den), "q-Racah prefactor"
+    ])
+    pref = scalar.q_binomial(N, l, q) * _balanced_ratio(
+        num, den, "q-Racah prefactor"
     )
     n = min(k, l)
     top = (
@@ -212,6 +210,8 @@ def qracah_matrix(quad: ParamQuad) -> np.ndarray:
     for k in range(N + 1):
         for l in range(N + 1):
             out[k, l] = qracah_C(k, l, quad)
+    if not np.isfinite(out).all():
+        raise DomainError(f"non-finite matrix entries at N = {N}")
     return out
 
 
@@ -219,19 +219,20 @@ def qracah_matrix(quad: ParamQuad) -> np.ndarray:
 
 
 def gbt_row(
-    a: complex, b: complex, c: complex, N: int, ctx: EllipticContext,
-    mode: GbtMode = GbtMode.RECURRENCE,
+    a: complex, b: complex, c: complex, N: int, ctx: EllipticContext
 ) -> np.ndarray:
-    """Coefficients C_k^N of h_N(x; a) = sum_k C_k^N h_k(x; b) h_{N-k}(x; c).
+    """Coefficients C_k of h_N(x; a) = sum_k C_k h_k(x; b) h_{N-k}(x; c).
 
-    CLOSED is the product formula; RECURRENCE grows the row from N = 0 by
-    the Pascal-type rule
+    The product formula
 
-        C_k^{N+1} = B_k C_k^N + A_{k-1} C_{k-1}^N,
+        C_k = q^(k(k-N)) [N, k]_{q,p} (a/c, q^(N-k) a c; q, p)_k
+              (a/b, q^k a b; q, p)_{N-k}
+              / ((q^(k-N) b/c; q, p)_k (q^(-k) c/b; q, p)_{N-k} (b c; q, p)_N).
 
-    where A and B split the new factor of h_{N+1} over the two legs.  This
-    is the lattice sweep of _path_sums with A on the right steps and B on
-    the up steps, the corner (k, n - k) holding C_k^n.
+    Every Pochhammer is a slice of one theta list per base, so a row costs
+    O(N) theta values.  q^(k(k-N)) rides along as one factor q^(k-N) on each
+    factor of (a/c)_k, which keeps the running product near its final size
+    where the power alone would overflow.
     """
     check = basis_valid(BasisPair(b, c, N), ctx)
     if not check:
@@ -239,48 +240,18 @@ def gbt_row(
             f"degenerate expansion pair ({check.condition}): {check.detail}"
         )
     q = ctx.q
-    if mode == GbtMode.CLOSED:
-        out = np.empty(N + 1, dtype=complex)
-        for k in range(N + 1):
-            num = [
-                (a / c, k),
-                (q ** (N - k) * a * c, k),
-                (a / b, N - k),
-                (q**k * a * b, N - k),
-            ]
-            den = [
-                (q ** (k - N) * b / c, k),
-                (q ** (-k) * c / b, N - k),
-                (b * c, N),
-            ]
-            pref = q ** (k * (k - N)) * _e_binomial(N, k, ctx)
-            out[k] = pref * _balanced_ratio(
-                _efactors(ctx, num), _efactors(ctx, den), "expansion prefactor"
-            )
-        return out
-
-    def step(x, y, right):
-        return (_gbt_A if right else _gbt_B)(x, x + y, a, b, c, ctx)
-
-    return np.array(_path_sums(N, step))
-
-
-def _gbt_A(k, n, a, b, c, ctx) -> complex:
-    q = ctx.q
-    num = scalar.thetas(ctx, a * c * q ** (2 * n - k), a * q**k / c)
-    den = scalar.thetas(ctx, b * c * q**n, b * q ** (2 * k - n) / c)
-    if abs(den) < PREFACTOR_EPS:
-        raise SingularParameterError("recurrence split denominator vanishes")
-    return num / den
-
-
-def _gbt_B(k, n, a, b, c, ctx) -> complex:
-    q = ctx.q
-    num = scalar.thetas(ctx, a * b * q ** (n + k), a * q ** (n - k) / b)
-    den = scalar.thetas(ctx, b * c * q**n, c * q ** (n - 2 * k) / b)
-    if abs(den) < PREFACTOR_EPS:
-        raise SingularParameterError("recurrence split denominator vanishes")
-    return num / den
+    ac, acq, ab, abq, bc, qq = (
+        _efactors(ctx, [(base, N)]) for base in (a / c, a * c, a / b, a * b, b * c, q)
+    )
+    bc_lo = _efactors(ctx, [(q ** (-N) * b / c, 2 * N)])
+    cb_lo = _efactors(ctx, [(q ** (-N) * c / b, 2 * N)])
+    out = np.empty(N + 1, dtype=complex)
+    for k in range(N + 1):
+        shift = q ** (k - N)
+        num = [f * shift for f in ac[:k]] + acq[N - k:] + ab[: N - k] + abq[k:] + qq
+        den = bc_lo[k : 2 * k] + cb_lo[N - k : 2 * (N - k)] + bc + qq[:k] + qq[: N - k]
+        out[k] = _balanced_ratio(num, den, "expansion prefactor")
+    return out
 
 
 # -- prefactor plumbing ------------------------------------------------------
@@ -315,32 +286,27 @@ def _balanced_ratio(num: list, den: list, what: str) -> complex:
     return acc
 
 
-def _e_binomial(N: int, k: int, ctx: EllipticContext) -> complex:
-    """(q; q, p)_N / ((q; q, p)_k (q; q, p)_{N-k})."""
-    return _balanced_ratio(
-        _efactors(ctx, [(ctx.q, N)]),
-        _efactors(ctx, [(ctx.q, k), (ctx.q, N - k)]),
-        "binomial",
-    )
-
-
 # -- route EXPLICIT ----------------------------------------------------------
 
 
 def _r_entry_explicit(quad: ParamQuad, k: int, l: int) -> complex:
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
     q = ctx.q
-    num = [
+    # q^(l(l-N)) rides as one factor q^(l-N) on each factor of (b/d)_l,
+    # which the interleaving pairs with (q^(l-N) c/d)_l; the power alone
+    # overflows (at N = 64 for q = 0.41)
+    shift = q ** (l - N)
+    num = [f * shift for f in _efactors(ctx, [(b / d, l)])]
+    num += _efactors(ctx, [
         (a * c, k),
         (a / c, k),
         (q ** (N - l) * b * d, l),
-        (b / d, l),
         (b / c, N - k),
         (b / c, N - l),
         (b * c, N - k),
         (q, N),  # binomial numerator
-    ]
-    den = [
+    ])
+    den = _efactors(ctx, [
         (q ** (l - N) * c / d, l),
         (q ** (-l) * d / c, N - l),
         (c * d, N),
@@ -348,10 +314,8 @@ def _r_entry_explicit(quad: ParamQuad, k: int, l: int) -> complex:
         (b * c, l),
         (q, l),
         (q, N - l),
-    ]
-    pref = q ** (l * (l - N)) * _balanced_ratio(
-        _efactors(ctx, num), _efactors(ctx, den), "entry prefactor"
-    )
+    ])
+    pref = _balanced_ratio(num, den, "entry prefactor")
     alpha = q ** (-N) * c / b
     shared = (q ** (k - N) * a / b, q ** (l - N) * c / d, c * d,
               q ** (1 - N) / (a * b), q * c / b)
@@ -393,11 +357,13 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
 
 
 def R_double_sum(quad: ParamQuad) -> CoeffMatrix:
-    """Compose two one-parameter expansions.
+    """Route RECURRENCE: compose two one-parameter expansions.
 
     First h_k(x; a) is expanded over (c, b q^{N-k}) and the b-legs merged;
     then each h_{N-j}(x; b) is expanded over (c q^j, d) and the c-legs
-    merged.  The double sum collapses to min(k, l) + 1 terms.
+    merged.  The double sum collapses to min(k, l) + 1 terms.  Both
+    expansions are gbt_row product formulas, so the matrix costs O(N^2)
+    theta values.
     """
     _require_valid(quad)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx

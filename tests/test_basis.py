@@ -10,7 +10,6 @@ from conftest import rel
 from ellsixj import scalar
 from ellsixj.basis import (
     BasisPair,
-    MonomialSpec,
     basis_valid,
     collocation_points,
     expand_by_solve,
@@ -46,11 +45,6 @@ def test_h_value_is_root_symmetric(ell_ctx):
             ) * scalar.elliptic_pochhammer(a / xi, k, ell_ctx)
             assert rel(h_value(x, a, k, ell_ctx), direct) < 1e-12
     assert h_value(0.7 + 0.2j, a, 0, ell_ctx) == 1
-
-
-def test_monomial_spec_bounds():
-    with pytest.raises(DomainError):
-        MonomialSpec(1.0, 3, 2)
 
 
 def test_basis_valid_degenerations(trig_ctx, ell_ctx):

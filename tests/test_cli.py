@@ -1,12 +1,16 @@
 """Command-line surface: parsing, formats, exit codes, tolerances."""
 
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import rel
+from ellsixj import cli
 from ellsixj.cli import parse_complex, run_command
+from ellsixj.harness import LEVEL_TOL, Level
 from ellsixj.context import make_context
 from ellsixj.sixj import ParamQuad, R_explicit
 
@@ -176,6 +180,7 @@ def test_verbs_reject_options_they_do_not_read(capsys):
         [*wilson, "--theta-eps", "1e-12"],
         [*theta, "--format", "csv"],
         [*theta, "--tol", "1e-3"],
+        [*theta, "--theta-eps", "1e-12"],
     ):
         code, out, _ = _run(capsys, *argv)
         assert code == 2 and out == ""
@@ -184,3 +189,48 @@ def test_verbs_reject_options_they_do_not_read(capsys):
 def test_help_exits_cleanly(capsys):
     code, _, _ = _run(capsys, "--help")
     assert code == 0
+
+
+def test_large_N_exits_cleanly(capsys):
+    # prefactor powers q^(l(l-N)) overflow a complex power at N = 64
+    quad = ["--a", "1.2,0.3", "--b", "0.8,-0.2", "--c", "1.1,0.4",
+            "--d", "0.7,0.2", "--N", "64", "--q", "0.41"]
+    mats = {}
+    for method in ("explicit", "recurrence"):
+        code, out, _ = _run(capsys, "sixj", *quad, "--method", method)
+        assert code == 0
+        mats[method] = np.array(
+            [[complex(*v) for v in row] for row in json.loads(out)["entries"]]
+        )
+    assert rel(mats["explicit"], mats["recurrence"]) < LEVEL_TOL[Level.TRIG]
+    # the q-Racah entries exceed a double here: a usage error, not a traceback
+    code, out, err = _run(capsys, "sixj", *quad, "--level", "qracah")
+    assert code == 2 and out == "" and err.startswith("error: non-finite")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_main_exits_quietly_on_closed_stdout(monkeypatch, tmp_path, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        monkeypatch.setattr(
+            sys, "argv", ["ellsixj", "theta", "--x", "1.7,0.3", "--p", "0.2"]
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+    finally:
+        os.close(fd)
+    assert exc.value.code == cli.EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""

@@ -178,11 +178,6 @@ class TestContext:
         assert rel(inv.q, 1 / ctx.q) < 1e-15
         assert rel(inv.q_half * inv.q_half, inv.q) < 1e-12
 
-    def test_theta_factor_count_scales_with_eps(self):
-        loose = make_context(0.4, p=0.3, theta_eps=1e-10)
-        tight = make_context(0.4, p=0.3, theta_eps=1e-18)
-        assert tight.theta_factors > loose.theta_factors
-
 
 def test_kernels_are_called_through_the_backend_module(monkeypatch, ell_ctx):
     # perfbench keys its results on BACKEND and counts kernel calls by

@@ -17,7 +17,6 @@ from ellsixj.errors import DomainError, IllConditionedError, SixjError
 from ellsixj.harness import LEVEL_TOL, Level, SampleConfig, Shape, sample_generic
 from ellsixj.sixj import (
     CoeffMatrix,
-    GbtMode,
     LimitKind,
     ParamQuad,
     R_double_sum,
@@ -158,12 +157,27 @@ def test_param_quad_validation(ell_ctx):
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1])
-def test_gbt_closed_form_matches_recurrence(p):
+def test_gbt_row_satisfies_its_expansion(p):
+    # h_N(x; a) = sum_k C_k h_k(x; b) h_{N-k}(x; c) away from the grid
     ctx = make_context(0.43, p=p)
     a, b, c = 0.83 + 0.21j, 1.17 - 0.34j, 0.71 + 0.45j
-    for N in (1, 3, 5):
-        closed = gbt_row(a, b, c, N, ctx, GbtMode.CLOSED)
-        assert rel(closed, gbt_row(a, b, c, N, ctx)) < 1e-12
+    for N in range(10):
+        row = gbt_row(a, b, c, N, ctx)
+        for xi in _offgrid_points():
+            x = xi + 1 / xi
+            lhs = h_value(x, a, N, ctx)
+            rhs = sum(
+                row[k] * h_value(x, b, k, ctx) * h_value(x, c, N - k, ctx)
+                for k in range(N + 1)
+            )
+            assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-11
+
+
+def test_recurrence_matches_explicit_at_elliptic_N16():
+    # the composed product formulas hold EXPLICIT's accuracy where the
+    # entries already span many decades
+    quad = draw_quad(30, 16, Level.ELLIPTIC)
+    assert rel(R_double_sum(quad).entries, R_explicit(quad).entries) < 1e-10
 
 
 # -- pairing inverses ---------------------------------------------------------
