@@ -29,7 +29,7 @@ from . import scalar
 #: lattice-resonance window used by the validity tests
 DEFAULT_GEN_DELTA = 1e-5
 #: half-width of the nome-power window for elliptic resonance tests
-DEFAULT_M_MAX = 3
+M_MAX = 3
 #: default collocation radius (|xi| of the sample points)
 DEFAULT_RADIUS = 1.3
 #: condition-number ceiling before the points are resampled
@@ -91,12 +91,11 @@ def _near_lattice(
     q: complex,
     exponents: range,
     p: complex,
-    m_max: int,
     delta: float,
 ) -> int | None:
     """Smallest exponent j with value ~ q^j (times a nome power), else None."""
     # nome shifts only matter for a nome of sane size; p^-m overflows below it
-    ms = range(-m_max, m_max + 1) if abs(p) > 1e-30 else range(0, 1)
+    ms = range(-M_MAX, M_MAX + 1) if abs(p) > 1e-30 else range(0, 1)
     for j in exponents:
         target = q**j
         for m in ms:
@@ -110,7 +109,6 @@ def basis_valid(
     pair: BasisPair,
     ctx: EllipticContext,
     gen_delta: float = DEFAULT_GEN_DELTA,
-    m_max: int = DEFAULT_M_MAX,
 ) -> BasisCheck:
     """Test the pair against the three degeneration conditions.
 
@@ -124,10 +122,10 @@ def basis_valid(
     if ctx.p != 0 and (c == 0 or d == 0):
         return BasisCheck(False, "c3", "zero parameter at elliptic level")
     if c != 0 and d != 0:
-        j = _near_lattice(c / d, ctx.q, range(1 - N, N), ctx.p, m_max, gen_delta)
+        j = _near_lattice(c / d, ctx.q, range(1 - N, N), ctx.p, gen_delta)
         if j is not None:
             return BasisCheck(False, "c1", f"c/d within {gen_delta} of q^{j}")
-    j = _near_lattice(c * d, ctx.q, range(1 - N, 1), ctx.p, m_max, gen_delta)
+    j = _near_lattice(c * d, ctx.q, range(1 - N, 1), ctx.p, gen_delta)
     if j is not None:
         return BasisCheck(False, "c2", f"c*d within {gen_delta} of q^{j}")
     return BasisCheck(True)
@@ -232,7 +230,6 @@ def wn_membership(
     f: Callable[[complex], complex],
     N: int,
     ctx: EllipticContext,
-    n_points: int = 8,
 ) -> float:
     """Max relative residual of the two defining symmetries of the space.
 
@@ -240,8 +237,8 @@ def wn_membership(
     The input is a function of xi (not of x).
     """
     worst = 0.0
-    for j in range(n_points):
-        xi = (1.15 + 0.09 * (j % 3)) * cmath.exp(2j * math.pi * (j + 0.23) / n_points)
+    for j in range(8):
+        xi = (1.15 + 0.09 * (j % 3)) * cmath.exp(2j * math.pi * (j + 0.23) / 8)
         fx = f(xi)
         finv = f(1.0 / xi)
         scale = max(abs(fx), abs(finv), 1e-300)

@@ -3,11 +3,12 @@
 Verbs: theta, series, sixj, wilson, sklyanin, verify.  Complex values are
 written "re" or "re,im".  Output goes to stdout as a single JSON document
 (numbers at 17 significant digits) or, for sixj matrices, as CSV with
-header k,l,re,im.  Each verb accepts only the options it reads.  Exit
-codes: 0 success or all-pass, 1 verification failure, 2 usage error,
-141 (128 + SIGPIPE) when stdout closes early, e.g. under `| head`.  The
-environment variable SIXJ_TOL supplies the default tolerance of sklyanin
-and verify; an explicit --tol wins.
+header k,l,re,im.  Each verb accepts only the options it reads, and sixj
+only those its --level reads.  Exit codes: 0 success or all-pass,
+1 verification failure, 2 usage error, 141 (128 + SIGPIPE) when stdout
+closes early, e.g. under `| head`.  The environment variable SIXJ_TOL
+supplies the default tolerance of sklyanin and verify; an explicit --tol
+wins.
 """
 
 from __future__ import annotations
@@ -101,16 +102,14 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("krawtchouk", "qracah", "trig", "elliptic"),
         default="trig",
     )
-    p.add_argument(
-        "--method",
-        choices=tuple(r.value for r in Route),
-        default=Route.EXPLICIT.value,
-    )
+    # None marks an option as not given: a level that does not read it
+    # rejects it rather than drop it
+    p.add_argument("--method", choices=tuple(r.value for r in Route))
     for name in ("a", "b", "c", "d"):
         p.add_argument(f"--{name}", type=parse_complex, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--q", type=parse_complex, default=complex(DEFAULT_Q))
-    p.add_argument("--p", type=parse_complex, default=0j)
+    p.add_argument("--q", type=parse_complex)
+    p.add_argument("--p", type=parse_complex)
 
     p = sub.add_parser("wilson")
     for name in ("a", "b", "c", "d", "e", "f"):
@@ -167,6 +166,17 @@ def run_command(argv) -> int:
             return 0
 
         if args.verb == "sixj":
+            reads = {
+                "--method": args.level in ("trig", "elliptic"),
+                "--q": args.level != "krawtchouk",
+                "--p": args.level == "elliptic",
+            }
+            given = {"--method": args.method, "--q": args.q, "--p": args.p}
+            unread = [o for o, v in given.items() if v is not None and not reads[o]]
+            if unread:
+                print(f"error: level {args.level} does not read {', '.join(unread)}",
+                      file=sys.stderr)
+                return 2
             meta = {
                 "level": args.level, "N": args.N,
                 "a": args.a, "b": args.b, "c": args.c, "d": args.d,
@@ -174,14 +184,16 @@ def run_command(argv) -> int:
             if args.level == "krawtchouk":
                 mat = krawtchouk_matrix(args.N, args.a, args.b, args.c, args.d)
             else:
-                p = args.p if args.level == "elliptic" else 0j
-                ctx = make_context(args.q, p=p)
+                q = args.q if args.q is not None else complex(DEFAULT_Q)
+                p = args.p if args.p is not None else 0j
+                ctx = make_context(q, p=p)
                 quad = ParamQuad(args.a, args.b, args.c, args.d, args.N, ctx)
-                meta.update({"q": args.q, "p": p})
+                meta.update({"q": q, "p": p})
                 if args.level == "qracah":
                     mat = qracah_matrix(quad)
                 else:
-                    mat = R_matrix(quad, Route(args.method)).entries
+                    method = Route(args.method or Route.EXPLICIT.value)
+                    mat = R_matrix(quad, method).entries
             print(_emit_matrix(mat, args.format, meta))
             return 0
 

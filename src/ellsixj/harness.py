@@ -75,7 +75,8 @@ from .wilson import (
 )
 
 RESAMPLE_BUDGET = 100
-_M_MAX = 3
+#: moduli of the sampled parameters
+MODULUS_RANGE = (0.5, 2.0)
 
 
 class Level(str, Enum):
@@ -105,15 +106,11 @@ class SampleConfig:
     seed: int = 0
     trials: int = 20
     N_max: int = 4
-    modulus_range: tuple = (0.5, 2.0)
     gen_delta: float = 1e-5
     p_max: float = 0.3
     tol: float | None = None  # None picks the per-level default
 
     def __post_init__(self) -> None:
-        lo, hi = self.modulus_range
-        if not 0 < lo <= hi:
-            raise DomainError("modulus range must be positive and ordered")
         if not 0 <= self.p_max < 1:
             raise DomainError("p_max must lie in [0, 1)")
         if self.trials < 1 or self.N_max < 1:
@@ -151,9 +148,8 @@ def _trial_rng(cfg: SampleConfig, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=cfg.seed).jumped(trial))
 
 
-def _draw(cfg: SampleConfig, rng, lo: float | None = None, hi: float | None = None) -> complex:
-    r = rng.uniform(lo if lo is not None else cfg.modulus_range[0],
-                    hi if hi is not None else cfg.modulus_range[1])
+def _draw(rng, lo: float = MODULUS_RANGE[0], hi: float = MODULUS_RANGE[1]) -> complex:
+    r = rng.uniform(lo, hi)
     ang = rng.uniform(0.0, 2.0 * math.pi)
     return complex(r * math.cos(ang), r * math.sin(ang))
 
@@ -177,7 +173,7 @@ def _lattice_clear(vals, ctx, N: int, delta: float) -> bool:
     for v in vals:
         if not 1e-12 < abs(v) < 1e12:
             return False
-        if _near_lattice(v, ctx.q, span, ctx.p, _M_MAX, delta) is not None:
+        if _near_lattice(v, ctx.q, span, ctx.p, delta) is not None:
             return False
     return True
 
@@ -193,7 +189,7 @@ def _pair_screen(params) -> list:
 
 def _sample_quad(cfg: SampleConfig, rng, N: int, ctx) -> ParamQuad:
     for _ in range(RESAMPLE_BUDGET):
-        a, b, c, d = (_draw(cfg, rng) for _ in range(4))
+        a, b, c, d = (_draw(rng) for _ in range(4))
         if not basis_valid(BasisPair(c, d, N), ctx, cfg.gen_delta):
             continue
         if not basis_valid(BasisPair(a, b, N), ctx, cfg.gen_delta):
@@ -205,7 +201,7 @@ def _sample_quad(cfg: SampleConfig, rng, N: int, ctx) -> ParamQuad:
 
 def _sample_triple(cfg: SampleConfig, rng, N: int, ctx) -> tuple:
     for _ in range(RESAMPLE_BUDGET):
-        vals = tuple(_draw(cfg, rng) for _ in range(6))
+        vals = tuple(_draw(rng) for _ in range(6))
         a, b, c, d, e, f = vals
         ok = all(
             basis_valid(BasisPair(u, v, N), ctx, cfg.gen_delta)
@@ -219,7 +215,7 @@ def _sample_triple(cfg: SampleConfig, rng, N: int, ctx) -> tuple:
 def _sample_wilson(cfg: SampleConfig, rng, N: int, q: complex) -> WilsonParams:
     ctx = make_context(q)
     for _ in range(RESAMPLE_BUDGET):
-        a, c, d, e = (_draw(cfg, rng) for _ in range(4))
+        a, c, d, e = (_draw(rng) for _ in range(4))
         b = q ** (-N) / a
         f = q ** (N + 1) / (c * d * e)
         vals = (a, b, c, d, e, f)
@@ -236,7 +232,7 @@ def _sample_wilson(cfg: SampleConfig, rng, N: int, q: complex) -> WilsonParams:
 
 def _sample_sklyanin(cfg: SampleConfig, rng, N: int, ctx) -> tuple:
     for _ in range(RESAMPLE_BUDGET):
-        a, b, c = (_draw(cfg, rng) for _ in range(3))
+        a, b, c = (_draw(rng) for _ in range(3))
         d = ctx.q ** (-N) / (a * b * c)
         vals = (a, b, c, d)
         screen = _pair_screen(vals)
@@ -247,9 +243,9 @@ def _sample_sklyanin(cfg: SampleConfig, rng, N: int, ctx) -> tuple:
     raise SamplingError("no generic operator parameters within the budget")
 
 
-def _sample_sl2(cfg: SampleConfig, rng) -> tuple:
+def _sample_sl2(rng) -> tuple:
     for _ in range(RESAMPLE_BUDGET):
-        b, c, d = (_draw(cfg, rng) for _ in range(3))
+        b, c, d = (_draw(rng) for _ in range(3))
         if abs(d) < 0.05:
             continue
         a = (1.0 + b * c) / d
@@ -282,14 +278,11 @@ def sample_generic(cfg: SampleConfig, shape: Shape, rng=None, N: int | None = No
 # -- residual helpers ---------------------------------------------------------
 
 
-def _product_residual(A, B, target, perturb: float = 0.0) -> float:
+def _product_residual(A, B, target) -> float:
     """max |(AB - target)[k,l]| over the largest summand met on the way."""
-    A = np.array(A, dtype=complex, copy=True)
+    A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    if perturb:
-        idx = np.unravel_index(int(np.argmax(np.abs(A))), A.shape)
-        A[idx] *= 1.0 + perturb
     terms = A[:, :, None] * B[None, :, :]
     scale = max(float(np.abs(terms).max()), float(np.abs(target).max()), 1e-300)
     return float(np.abs(terms.sum(axis=1) - target).max() / scale)
@@ -348,7 +341,7 @@ def _run(suite: str, cfg: SampleConfig, levels: tuple, trial_fn) -> VerifyReport
 # -- suites -------------------------------------------------------------------
 
 
-def verify_expansion(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_expansion(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Collocation round trip plus agreement of all four matrix routes."""
     levels = _levels(levels, (Level.TRIG, Level.ELLIPTIC))
 
@@ -357,16 +350,13 @@ def verify_expansion(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ve
         N = _draw_N(cfg, rng, 5)
         quad = _sample_quad(cfg, rng, N, ctx)
         pair = quad.pair_cd()
-        lam = np.array([_draw(cfg, rng) for _ in range(N + 1)])
+        lam = np.array([_draw(rng) for _ in range(N + 1)])
         fns = [h_pair_fn(pair.c, pair.d, j, N, ctx) for j in range(N + 1)]
 
         def f(x):
             return sum(w * g(x) for w, g in zip(lam, fns))
 
         coeffs = expand_by_solve([f], pair, ctx)[0]
-        if perturb:
-            j = int(np.argmax(np.abs(coeffs)))
-            coeffs[j] *= 1.0 + perturb
         r1 = expansion_residual(f, coeffs, pair, ctx)
         mats = [R_matrix(quad, route).entries for route in Route]
         scale = max(float(np.abs(mats[0]).max()), 1e-300)
@@ -376,7 +366,7 @@ def verify_expansion(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ve
     return _run("expansion", cfg, levels, trial)
 
 
-def verify_biorthogonality(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_biorthogonality(cfg: SampleConfig, levels=None) -> VerifyReport:
     """The matrix against its parameter-swapped partner is the identity."""
     levels = _levels(
         levels, (Level.TRIG, Level.ELLIPTIC, Level.KRAWTCHOUK, Level.QRACAH)
@@ -385,10 +375,10 @@ def verify_biorthogonality(cfg: SampleConfig, levels=None, perturb: float = 0.0)
     def trial(rng, level):
         if level == Level.KRAWTCHOUK:
             N = _draw_N(cfg, rng, 6)
-            A1 = _sample_sl2(cfg, rng)
+            A1 = _sample_sl2(rng)
             K = krawtchouk_matrix(N, *A1)
             Ki = krawtchouk_inverse(N, *A1)
-            res = _product_residual(K, Ki, np.eye(N + 1), perturb)
+            res = _product_residual(K, Ki, np.eye(N + 1))
             return res, {"N": N, "abcd": [_cval(v) for v in A1]}
         ctx = _ctx_for(cfg, rng, level)
         N = _draw_N(cfg, rng, 4)
@@ -401,25 +391,25 @@ def verify_biorthogonality(cfg: SampleConfig, levels=None, perturb: float = 0.0)
             A = R_matrix(quad).entries
             back = ParamQuad(quad.c, quad.d, quad.a, quad.b, N, ctx)
             B = R_matrix(back).entries
-        res = _product_residual(A, B, np.eye(N + 1), perturb)
+        res = _product_residual(A, B, np.eye(N + 1))
         return res, _quad_params(quad)
 
     return _run("biorth", cfg, levels, trial)
 
 
-def verify_addition(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_addition(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Connection through an intermediate basis factors the direct one."""
     levels = _levels(levels, (Level.TRIG, Level.ELLIPTIC, Level.KRAWTCHOUK))
 
     def trial(rng, level):
         if level == Level.KRAWTCHOUK:
             N = _draw_N(cfg, rng, 5)
-            A1 = _sample_sl2(cfg, rng)
-            A2 = _sample_sl2(cfg, rng)
+            A1 = _sample_sl2(rng)
+            A2 = _sample_sl2(rng)
             lhs = krawtchouk_matrix(N, *A1)
             bridge = krawtchouk_matrix(N, *sl2_compose(A1, sl2_inverse(A2)))
             K2 = krawtchouk_matrix(N, *A2)
-            res = _product_residual(bridge, K2, lhs, perturb)
+            res = _product_residual(bridge, K2, lhs)
             return res, {
                 "N": N,
                 "A1": [_cval(v) for v in A1],
@@ -431,7 +421,7 @@ def verify_addition(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ver
         lhs = R_matrix(ParamQuad(a, b, e, f, N, ctx)).entries
         A = R_matrix(ParamQuad(a, b, c, d, N, ctx)).entries
         B = R_matrix(ParamQuad(c, d, e, f, N, ctx)).entries
-        res = _product_residual(A, B, lhs, perturb)
+        res = _product_residual(A, B, lhs)
         return res, {
             "a": _cval(a), "b": _cval(b), "c": _cval(c), "d": _cval(d),
             "e": _cval(e), "f": _cval(f), "N": N, "q": _cval(ctx.q),
@@ -444,18 +434,15 @@ def verify_addition(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ver
 _MN_CHOICES = ((1, 1), (1, 2), (2, 2))
 
 
-def verify_convolution(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_convolution(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Binary index splitting, all four placements of the shifts."""
     levels = _levels(levels, (Level.TRIG, Level.ELLIPTIC, Level.KRAWTCHOUK))
 
     def trial(rng, level):
         M, Nn = _MN_CHOICES[int(rng.integers(0, len(_MN_CHOICES)))]
         if level == Level.KRAWTCHOUK:
-            A1 = _sample_sl2(cfg, rng)
+            A1 = _sample_sl2(rng)
             big = krawtchouk_matrix(M + Nn, *A1)
-            if perturb:
-                idx = np.unravel_index(int(np.argmax(np.abs(big))), big.shape)
-                big[idx] *= 1.0 + perturb
             left = krawtchouk_matrix(M, *A1)
             right = krawtchouk_matrix(Nn, *A1)
             scale = max(float(np.abs(big).max()), 1e-300)
@@ -473,10 +460,7 @@ def verify_convolution(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> 
             return worst, {"M": M, "N": Nn, "abcd": [_cval(v) for v in A1]}
         ctx = _ctx_for(cfg, rng, level)
         quad = _sample_quad(cfg, rng, M + Nn, ctx)
-        fused = np.array(R_explicit(quad).entries, copy=True)
-        if perturb:
-            idx = np.unravel_index(int(np.argmax(np.abs(fused))), fused.shape)
-            fused[idx] *= 1.0 + perturb
+        fused = R_explicit(quad).entries
         scale = max(float(np.abs(fused).max()), 1e-300)
         worst = 0.0
         for sigma in ((0, 1), (1, 0)):
@@ -499,7 +483,7 @@ def verify_convolution(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> 
     return _run("convolution", cfg, levels, trial)
 
 
-def verify_multiconv(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_multiconv(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Multifactor fusion with random permutation labels; exact path counts."""
     levels = _levels(levels, (Level.TRIG, Level.ELLIPTIC, Level.KRAWTCHOUK))
 
@@ -530,8 +514,6 @@ def verify_multiconv(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ve
         quad = _sample_quad(cfg, rng, total, ctx)
         rhs = multiconv_rhs(ks, l, Ms, quad, sigma, tau)
         lhs = R_explicit(quad).entries[sum(ks), l]
-        if perturb:
-            lhs *= 1.0 + perturb
         res = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         params = _quad_params(quad)
         params.update({"ks": list(ks), "Ms": list(Ms), "l": l,
@@ -541,7 +523,7 @@ def verify_multiconv(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ve
     return _run("multiconv", cfg, levels, trial)
 
 
-def verify_jackson(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_jackson(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Terminating very-well-poised sum against its closed product."""
     levels = _levels(levels, (Level.TRIG, Level.ELLIPTIC))
 
@@ -549,7 +531,7 @@ def verify_jackson(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Veri
         ctx = _ctx_for(cfg, rng, level)
         N = _draw_N(cfg, rng, 6)
         for _ in range(RESAMPLE_BUDGET):
-            a, b, c, xi = (_draw(cfg, rng) for _ in range(4))
+            a, b, c, xi = (_draw(rng) for _ in range(4))
             if _lattice_clear(_pair_screen((a, b, c, xi)), ctx, N, cfg.gen_delta):
                 break
         else:
@@ -560,8 +542,6 @@ def verify_jackson(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Veri
         scale = max(
             max(abs(t) for t in series_terms(spec, ctx)), abs(rhs), 1e-300
         )
-        if perturb:
-            lhs *= 1.0 + perturb
         res = abs(lhs - rhs) / scale
         return res, {
             "a": _cval(a), "b": _cval(b), "c": _cval(c), "xi": _cval(xi),
@@ -571,7 +551,7 @@ def verify_jackson(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Veri
     return _run("jackson", cfg, levels, trial)
 
 
-def verify_symmetry(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_symmetry(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Row/column reversal under swaps, and the inversion covariance."""
     levels = _levels(levels, (Level.TRIG, Level.ELLIPTIC))
 
@@ -580,10 +560,7 @@ def verify_symmetry(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ver
         N = _draw_N(cfg, rng, 4)
         quad = _sample_quad(cfg, rng, N, ctx)
         M = R_explicit(quad)
-        E = np.array(M.entries, copy=True)
-        if perturb:
-            idx = np.unravel_index(int(np.argmax(np.abs(E))), E.shape)
-            E[idx] *= 1.0 + perturb
+        E = M.entries
         res = max(
             _entry_residual(apply_symmetry(M, Symmetry.SWAP_AB).entries, E[::-1, :]),
             _entry_residual(apply_symmetry(M, Symmetry.SWAP_CD).entries, E[:, ::-1]),
@@ -594,7 +571,7 @@ def verify_symmetry(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ver
     return _run("symmetry", cfg, levels, trial)
 
 
-def verify_limits(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_limits(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Each degeneration decays at its stated order, and nome zero is exact."""
     levels = _levels(levels, (Level.TRIG,))
 
@@ -608,7 +585,7 @@ def verify_limits(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Verif
         ctx = make_context(q)
         N = _draw_N(cfg, rng, 3)
         quad = _sample_quad(cfg, rng, N, ctx)
-        a, x = _draw(cfg, rng), _draw(cfg, rng)
+        a, x = _draw(rng), _draw(rng)
         k = int(rng.integers(1, 4))
         reps = [
             limit_h_product(a=a, x=x, k=k, q=q),
@@ -622,12 +599,6 @@ def verify_limits(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Verif
             limit_ell_to_trig(quad=quad),
         ]
         res = max(miss(rep) for rep in reps)
-        if perturb:
-            base = R_explicit(quad).entries
-            bumped = np.array(base, copy=True)
-            idx = np.unravel_index(int(np.argmax(np.abs(bumped))), bumped.shape)
-            bumped[idx] *= 1.0 + perturb
-            res = max(res, _entry_residual(bumped, base))
         params = _quad_params(quad)
         params.update({"hk": k, "ha": _cval(a), "hx": _cval(x)})
         return res, params
@@ -635,7 +606,7 @@ def verify_limits(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Verif
     return _run("limits", cfg, levels, trial)
 
 
-def verify_wilson(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_wilson(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Discrete biorthogonality, its rational form, and deformed addition.
 
     All three live at the trigonometric level: the rational weight and
@@ -653,8 +624,6 @@ def verify_wilson(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Verif
             for m in range(top + 1):
                 s, sc = eto_pairing_sum(n, m, quad)
                 want = eto_norm(n, quad) if n == m else 0j
-                if perturb and n == m == 0:
-                    s *= 1.0 + perturb
                 worst = max(worst, abs(s - want) / max(sc, abs(want), 1e-300))
         params = _quad_params(quad)
         wp = _sample_wilson(cfg, rng, N, ctx.q)
@@ -662,13 +631,11 @@ def verify_wilson(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Verif
             for m in range(top + 1):
                 s, sc = wilson_biorth_sum(n, m, wp)
                 want = wilson_norm(n, wp) if n == m else 0j
-                if perturb and n == m == 0:
-                    s *= 1.0 + perturb
                 worst = max(worst, abs(s - want) / max(sc, abs(want), 1e-300))
         n, m = int(rng.integers(0, top + 1)), int(rng.integers(0, top + 1))
         for _ in range(RESAMPLE_BUDGET):
-            sdef = _draw(cfg, rng, 0.7, 1.4)
-            tdef = _draw(cfg, rng, 0.7, 1.4)
+            sdef = _draw(rng, 0.7, 1.4)
+            tdef = _draw(rng, 0.7, 1.4)
             if _lattice_clear(
                 (sdef, tdef, sdef * tdef, sdef / tdef), ctx, N, cfg.gen_delta
             ):
@@ -689,20 +656,18 @@ def verify_wilson(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Verif
     return _run("wilson", cfg, levels, trial)
 
 
-def verify_sklyanin(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> VerifyReport:
+def verify_sklyanin(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Operator eigenrelations, band structure, and the two-operator GEVP."""
     levels = _levels(levels, (Level.TRIG, Level.ELLIPTIC))
 
     def trial(rng, level):
         ctx = _ctx_for(cfg, rng, level)
         N = _draw_N(cfg, rng, 4)
-        if perturb:
-            N = max(N, 2)
         a, b, c, d = _sample_sklyanin(cfg, rng, N, ctx)
         k = int(rng.integers(0, N + 1))
         worst = skl.eigenrelation_check(a, b, c, k, N, ctx)
         for _ in range(RESAMPLE_BUDGET):
-            lam, mu = _draw(cfg, rng), _draw(cfg, rng)
+            lam, mu = _draw(rng), _draw(rng)
             pair = BasisPair(ctx.q_half * lam, ctx.q_half * mu, N)
             if basis_valid(pair, ctx, cfg.gen_delta) and _lattice_clear(
                 _pair_screen((lam, mu, a, b, c, d)), ctx, N, cfg.gen_delta
@@ -712,12 +677,10 @@ def verify_sklyanin(cfg: SampleConfig, levels=None, perturb: float = 0.0) -> Ver
             raise SamplingError("no generic band basis within the budget")
         op = skl.DiffOpSpec(a, b, c, d, N, ctx)
         mat = skl.operator_matrix(op, lam, mu, N, ctx)
-        if perturb:
-            mat[0, -1] += perturb * float(np.abs(mat[:, -1]).max())
         worst = max(worst, skl.off_band_mass(mat))
         if N <= 3:
             for _ in range(RESAMPLE_BUDGET):
-                d2 = _draw(cfg, rng)
+                d2 = _draw(rng)
                 if _lattice_clear(
                     _pair_screen((a, b, d2))
                     + [a * d2 / ctx.q_half, b * d2 / ctx.q_half],

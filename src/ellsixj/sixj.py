@@ -96,8 +96,7 @@ class CoeffMatrix:
 
 
 def krawtchouk_K(
-    k: int, l: int, N: int, a: complex, b: complex, c: complex, d: complex,
-    tol: float = 1e-9,
+    k: int, l: int, N: int, a: complex, b: complex, c: complex, d: complex
 ) -> complex:
     """Coefficient of x^l in (a x + b)^k (c x + d)^(N-k), ad - bc = 1.
 
@@ -107,7 +106,7 @@ def krawtchouk_K(
     """
     if not (0 <= k <= N and 0 <= l <= N):
         raise DomainError("need 0 <= k, l <= N")
-    if abs(a * d - b * c - 1.0) > tol * max(1.0, abs(a * d)):
+    if abs(a * d - b * c - 1.0) > 1e-9 * max(1.0, abs(a * d)):
         raise DomainError("normalization ad - bc = 1 violated")
     if abs(b * c) > 1e-8 and abs(d) > 1e-8:
         n = min(k, l)
@@ -130,6 +129,8 @@ def krawtchouk_K(
 def krawtchouk_matrix(
     N: int, a: complex, b: complex, c: complex, d: complex
 ) -> np.ndarray:
+    if N < 0:
+        raise DomainError("N must be >= 0")
     out = np.empty((N + 1, N + 1), dtype=complex)
     for k in range(N + 1):
         for l in range(N + 1):
@@ -600,14 +601,16 @@ class LimitReport:
         self.passed = (lo <= self.ratio <= hi) and self.extra_residual <= 1e-12
 
 
-def _decay_window(t_values, order: int = 1) -> tuple:
-    r = (t_values[0] / t_values[1]) ** order
+#: the two scales each limit transition is probed at
+LIMIT_SCALES = (1e-3, 1e-4)
+
+
+def _decay_window(order: int = 1) -> tuple:
+    r = (LIMIT_SCALES[0] / LIMIT_SCALES[1]) ** order
     return (0.5 * r, 2.0 * r)
 
 
-def limit_h_product(
-    a: complex, x: complex, k: int, q: complex, t_values=(1e-3, 1e-4)
-) -> LimitReport:
+def limit_h_product(a: complex, x: complex, k: int, q: complex) -> LimitReport:
     """First-order decay of both twisted-monomial scaling limits.
 
     h_k(x/t; a t) -> (a x; q)_k   and
@@ -618,7 +621,7 @@ def limit_h_product(
 
     ctx = make_context(q)
     res = []
-    for t in t_values:
+    for t in LIMIT_SCALES:
         v1 = h_value(x / t, a * t, k, ctx)
         r1 = abs(v1 - scalar.q_pochhammer(a * x, q, k)) / max(abs(v1), 1e-300)
         v2 = t ** (2 * k) * h_value(x / t, a / t, k, ctx)
@@ -631,17 +634,15 @@ def limit_h_product(
     # so the approach is quadratic in t
     return LimitReport(
         LimitKind.H_PRODUCT_LIMITS,
-        tuple(t_values),
+        LIMIT_SCALES,
         tuple(res),
         res[0] / max(res[1], 1e-300),
-        _decay_window(t_values, 2),
+        _decay_window(2),
         order=2,
     )
 
 
-def limit_trig_to_qracah(
-    quad: ParamQuad, t_values=(1e-3, 1e-4)
-) -> LimitReport:
+def limit_trig_to_qracah(quad: ParamQuad) -> LimitReport:
     """R at uniformly scaled parameters approaches the q-Racah matrix.
 
     Scaling all four parameters by t sends both bases to their polynomial
@@ -655,7 +656,7 @@ def limit_trig_to_qracah(
             target[k, l] = qracah_D(k, l, quad)
     scale = np.abs(target).max()
     res = []
-    for t in t_values:
+    for t in LIMIT_SCALES:
         scaled = ParamQuad(a * t, b * t, c * t, d * t, N, ctx)
         diff = np.abs(R_explicit(scaled).entries - target).max()
         res.append(diff / scale)
@@ -663,17 +664,17 @@ def limit_trig_to_qracah(
     # a product of two scaled parameters, so the residual decays as t^2
     return LimitReport(
         LimitKind.TRIG_TO_QRACAH,
-        tuple(t_values),
+        LIMIT_SCALES,
         tuple(res),
         res[0] / max(res[1], 1e-300),
-        _decay_window(t_values, 2),
+        _decay_window(2),
         order=2,
     )
 
 
 def limit_trig_to_qkraw(
     a: complex, b: complex, d: complex, k: int, l: int, N: int, q: complex,
-    s_values=(1e-3, 1e-4), c: complex | None = None,
+    c: complex | None = None,
 ) -> LimitReport:
     """Prefactored R entry approaches the q-Krawtchouk 3phi2.
 
@@ -694,21 +695,21 @@ def limit_trig_to_qkraw(
         * eval_rphi_s(phi_spec(top, bottom, q, q, k))
     )
     res = []
-    for s in s_values:
+    for s in LIMIT_SCALES:
         cs = complex(s * s) if c is None else complex(c)
         quad = ParamQuad(a * s, b * s, cs, d, N, ctx)
         val = (q**k * d / (b * s)) ** (N - l) * R_explicit(quad).entries[k, l]
         res.append(abs(val - target) / max(abs(target), 1e-300))
     return LimitReport(
         LimitKind.TRIG_TO_QKRAW,
-        tuple(s_values),
+        LIMIT_SCALES,
         tuple(res),
         res[0] / max(res[1], 1e-300),
-        _decay_window(s_values),
+        _decay_window(),
     )
 
 
-def limit_ell_to_trig(quad: ParamQuad, p_values=(1e-3, 1e-4)) -> LimitReport:
+def limit_ell_to_trig(quad: ParamQuad) -> LimitReport:
     """Nome decay of the elliptic matrix onto the trigonometric one.
 
     The residual at each nome must shrink first order, and at p = 0 the
@@ -720,7 +721,7 @@ def limit_ell_to_trig(quad: ParamQuad, p_values=(1e-3, 1e-4)) -> LimitReport:
     base = R_explicit(trig).entries
     scale = np.abs(base).max()
     res = []
-    for p in p_values:
+    for p in LIMIT_SCALES:
         ell = ParamQuad(
             quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx.with_nome(p)
         )
@@ -733,10 +734,10 @@ def limit_ell_to_trig(quad: ParamQuad, p_values=(1e-3, 1e-4)) -> LimitReport:
     extra = float(np.abs(R_explicit(tiny).entries - base).max() / scale)
     return LimitReport(
         LimitKind.ELL_TO_TRIG,
-        tuple(p_values),
+        LIMIT_SCALES,
         tuple(res),
         res[0] / max(res[1], 1e-300),
-        _decay_window(p_values),
+        _decay_window(),
         extra_residual=extra,
     )
 

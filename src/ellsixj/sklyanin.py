@@ -87,8 +87,8 @@ def _h_product(lam: complex, mu: complex, k: int, N: int, ctx: EllipticContext):
     return g
 
 
-def _sample_points(N: int, count: int = 0) -> list:
-    n = count or N + 3
+def _sample_points(N: int) -> list:
+    n = N + 3
     return [
         (1.18 + 0.07 * (j % 3)) * cmath.exp(2j * cmath.pi * (j + 0.29) / n)
         for j in range(n)
@@ -96,8 +96,7 @@ def _sample_points(N: int, count: int = 0) -> list:
 
 
 def eigenrelation_check(
-    a: complex, b: complex, c: complex, k: int, N: int, ctx: EllipticContext,
-    points=None,
+    a: complex, b: complex, c: complex, k: int, N: int, ctx: EllipticContext
 ) -> float:
     """Max relative residual of the diagonal action on the matched basis.
 
@@ -116,7 +115,7 @@ def eigenrelation_check(
         * scalar.thetas(ctx, q**k * a * c, q ** (N - k) * b * c, q**N * a * b)
     )
     worst = 0.0
-    for xi in points or _sample_points(N):
+    for xi in _sample_points(N):
         lhs = apply_delta(op, lhs_in, xi)
         rhs = mult * rhs_base(xi)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
@@ -141,15 +140,15 @@ def operator_matrix(
     return expand_by_solve(images, target, ctx).T
 
 
-def off_band_mass(mat: np.ndarray, band: int = 1) -> float:
-    """Largest off-band magnitude relative to its column's scale."""
+def off_band_mass(mat: np.ndarray) -> float:
+    """Largest magnitude off the tridiagonal band over its column's scale."""
     n = mat.shape[0]
     worst = 0.0
     for k in range(n):
         col = np.abs(mat[:, k])
         scale = col.max()
         for j in range(n):
-            if abs(j - k) > band:
+            if abs(j - k) > 1:
                 worst = max(worst, col[j] / max(scale, 1e-300))
     return worst
 
@@ -163,7 +162,7 @@ class GevpReport:
 
 def gevp_check(
     a: complex, b: complex, c: complex, d2: complex, N: int,
-    ctx: EllipticContext, third: tuple | None = None, points=None,
+    ctx: EllipticContext, third: tuple | None = None,
 ) -> GevpReport:
     """Generalized eigenvalue problem solved by e_k = h_k(x;a)h_{N-k}(x;b).
 
@@ -183,7 +182,7 @@ def gevp_check(
     bp = b / ctx.q_half
     op1 = DiffOpSpec.three(ap, bp, c, N, ctx)
     op2 = DiffOpSpec.three(ap, bp, d2, N, ctx)
-    pts = points or _sample_points(N)
+    pts = _sample_points(N)
     residuals = []
     lambdas = []
     for k in range(N + 1):

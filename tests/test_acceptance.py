@@ -206,8 +206,8 @@ def test_c07_rational_grid_biorthogonality_and_addition():
                 )
         n, m = int(rng.integers(0, N + 1)), int(rng.integers(0, N + 1))
         for _ in range(100):
-            s = _draw(cfg, rng, 0.7, 1.4)
-            tt = _draw(cfg, rng, 0.7, 1.4)
+            s = _draw(rng, 0.7, 1.4)
+            tt = _draw(rng, 0.7, 1.4)
             if _lattice_clear((s, tt, s * tt, s / tt), ctx, N, cfg.gen_delta):
                 lhs, mid, rhs = wilson_addition(n, m, s, tt, wp)
                 break
@@ -234,7 +234,7 @@ def test_c08_operator_eigenstructure():
         ctx = make_context(_draw_q(rng))
         N = _draw_N(cfg, rng, 3)
         for _ in range(100):
-            vals = tuple(_draw(cfg, rng) for _ in range(5))
+            vals = tuple(_draw(rng) for _ in range(5))
             if _lattice_clear(_pair_screen(vals), ctx, N, cfg.gen_delta):
                 a, b, c, lam, mu = vals
                 break
@@ -286,7 +286,7 @@ def test_c11_band_support():
             ctx = _ctx_for(cfg, rng, Level.ELLIPTIC)
             m = int(rng.integers(0, M + 1))
             for _ in range(100):
-                a, b = _draw(cfg, rng), _draw(cfg, rng)
+                a, b = _draw(rng), _draw(rng)
                 quad = band_quad(a, b, m, M, N, ctx)
                 if basis_valid(
                     BasisPair(quad.c, quad.d, N), ctx, cfg.gen_delta

@@ -166,6 +166,12 @@ def test_usage_errors_exit_two(capsys):
     )
     assert code == 2
     assert "error:" in err
+    code, out, err = _run(
+        capsys, "sixj", "--level", "krawtchouk", "--a", "1", "--b", "0",
+        "--c", "0", "--d", "1", "--N", "-1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_verbs_reject_options_they_do_not_read(capsys):
@@ -173,7 +179,14 @@ def test_verbs_reject_options_they_do_not_read(capsys):
     wilson = ["wilson", "--a", "1.1", "--b", "0.9", "--c", "0.8", "--d", "1.2",
               "--e", "0.7", "--f", "1.3", "--N", "2", "--n", "1"]
     verify = ["verify", "--suite", "symmetry", "--trials", "1", "--N-max", "2"]
+    quad = ["--a", "1.2", "--b", "0.8", "--c", "1.1", "--d", "0.7", "--N", "2"]
     for argv in (
+        ["sixj", *quad, "--level", "trig", "--p", "0.2"],
+        ["sixj", *quad, "--level", "qracah", "--p", "0.2"],
+        ["sixj", *quad, "--level", "qracah", "--method", "solve"],
+        ["sixj", *quad, "--level", "krawtchouk", "--method", "explicit"],
+        ["sixj", *quad, "--level", "krawtchouk", "--q", "0.45"],
+        ["sixj", *quad, "--level", "krawtchouk", "--p", "0.2"],
         [*verify, "--theta-eps", "1e-12"],
         [*verify, "--format", "csv"],
         [*wilson, "--tol", "1e-3"],
