@@ -99,27 +99,28 @@ from .sixj import (
 from .sklyanin import (
     DiffOpSpec,
     GevpReport,
-    ThetaIdentity,
     apply_delta,
     eigenrelation_check,
     gevp_check,
     off_band_mass,
     operator_matrix,
-    theta_identity_check,
+    pfl_residual,
+    riemann_residual,
+    tadd_residual,
 )
 from .wilson import (
-    MapDirection,
     WilsonParams,
     eto_norm,
     eto_pairing_sum,
     eto_weight,
-    param_map,
+    quad_to_wilson,
     rational_R,
     rational_S,
     wilson_addition,
     wilson_biorth_sum,
     wilson_norm,
     wilson_r,
+    wilson_to_quad,
     wilson_weight,
 )
 

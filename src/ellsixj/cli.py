@@ -4,11 +4,12 @@ Verbs: theta, series, sixj, wilson, sklyanin, verify.  Complex values are
 written "re" or "re,im".  Output goes to stdout as a single JSON document
 (numbers at 17 significant digits) or, for sixj matrices, as CSV with
 header k,l,re,im.  Each verb accepts only the options it reads, and sixj
-only those its --level reads.  Exit codes: 0 success or all-pass,
-1 verification failure, 2 usage error, 141 (128 + SIGPIPE) when stdout
-closes early, e.g. under `| head`.  The environment variable SIXJ_TOL
-supplies the default tolerance of sklyanin and verify; an explicit --tol
-wins.
+only those its --level reads; the elliptic level needs a nonzero --p, and
+wilson takes either --z or a grid index --k, not both.  Exit codes:
+0 success or all-pass, 1 verification failure, 2 usage error, 141
+(128 + SIGPIPE) when stdout closes early, e.g. under `| head`.  The
+environment variable SIXJ_TOL supplies the default tolerance of sklyanin
+and verify; an explicit --tol wins.
 """
 
 from __future__ import annotations
@@ -177,6 +178,9 @@ def run_command(argv) -> int:
                 print(f"error: level {args.level} does not read {', '.join(unread)}",
                       file=sys.stderr)
                 return 2
+            if args.level == "elliptic" and not args.p:
+                print("error: level elliptic needs a nonzero --p", file=sys.stderr)
+                return 2
             meta = {
                 "level": args.level, "N": args.N,
                 "a": args.a, "b": args.b, "c": args.c, "d": args.d,
@@ -198,6 +202,9 @@ def run_command(argv) -> int:
             return 0
 
         if args.verb == "wilson":
+            if args.z is not None and args.k is not None:
+                print("error: give --z or --k, not both", file=sys.stderr)
+                return 2
             wp = WilsonParams(
                 args.a, args.b, args.c, args.d, args.e, args.f, args.q, args.N
             )

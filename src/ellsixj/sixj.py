@@ -34,7 +34,7 @@ import numpy as np
 from .basis import BasisPair, basis_valid, expand_by_solve, h_pair_fn
 from .context import EllipticContext
 from .errors import DomainError, SingularParameterError
-from .series import eval_V12, eval_rFs, eval_rphi_s, f_spec, phi_spec, v12_spec
+from .series import eval_V12, eval_rphi_s, phi_spec, v12_spec
 from . import scalar
 
 #: magnitude below which a prefactor denominator counts as resonant
@@ -58,9 +58,6 @@ class ParamQuad:
 
     def pair_cd(self) -> BasisPair:
         return BasisPair(self.c, self.d, self.N)
-
-    def pair_ab(self) -> BasisPair:
-        return BasisPair(self.a, self.b, self.N)
 
 
 class Route(str, Enum):
@@ -100,19 +97,13 @@ def krawtchouk_K(
 ) -> complex:
     """Coefficient of x^l in (a x + b)^k (c x + d)^(N-k), ad - bc = 1.
 
-    Generic route: binom(N,l) b^k c^l d^(N-k-l) 2F1(-k,-l;-N;-1/(bc)).
-    Near bc = 0 or d = 0 the prefactor degenerates and the finite double
-    expansion of both binomials is used instead (always valid).
+    The finite double expansion of both binomials, which has no
+    degenerate parameters.
     """
     if not (0 <= k <= N and 0 <= l <= N):
         raise DomainError("need 0 <= k, l <= N")
     if abs(a * d - b * c - 1.0) > 1e-9 * max(1.0, abs(a * d)):
         raise DomainError("normalization ad - bc = 1 violated")
-    if abs(b * c) > 1e-8 and abs(d) > 1e-8:
-        n = min(k, l)
-        top = (complex(-max(k, l)), complex(-n))
-        F = eval_rFs(f_spec(top, (complex(-N),), -1.0 / (b * c), n))
-        return math.comb(N, l) * b**k * c**l * d ** (N - k - l) * F
     total = 0j
     for i in range(max(0, l - (N - k)), min(k, l) + 1):
         total += (
@@ -577,6 +568,10 @@ class LimitKind(str, Enum):
     H_PRODUCT_LIMITS = "h_product_limits"
 
 
+#: the two scales each limit transition is probed at
+LIMIT_SCALES = (1e-3, 1e-4)
+
+
 @dataclass
 class LimitReport:
     """Quantitative convergence record for one limit transition.
@@ -588,26 +583,21 @@ class LimitReport:
     """
 
     kind: LimitKind
-    t_values: tuple
     residuals: tuple
-    ratio: float
-    window: tuple
     order: int = 1
     extra_residual: float = 0.0
+    t_values: tuple = field(init=False, default=())
+    ratio: float = field(init=False, default=0.0)
+    window: tuple = field(init=False, default=())
     passed: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
-        lo, hi = self.window
+        self.t_values = LIMIT_SCALES
+        self.ratio = self.residuals[0] / max(self.residuals[1], 1e-300)
+        r = (LIMIT_SCALES[0] / LIMIT_SCALES[1]) ** self.order
+        lo, hi = 0.5 * r, 2.0 * r
+        self.window = (lo, hi)
         self.passed = (lo <= self.ratio <= hi) and self.extra_residual <= 1e-12
-
-
-#: the two scales each limit transition is probed at
-LIMIT_SCALES = (1e-3, 1e-4)
-
-
-def _decay_window(order: int = 1) -> tuple:
-    r = (LIMIT_SCALES[0] / LIMIT_SCALES[1]) ** order
-    return (0.5 * r, 2.0 * r)
 
 
 def limit_h_product(a: complex, x: complex, k: int, q: complex) -> LimitReport:
@@ -632,14 +622,7 @@ def limit_h_product(a: complex, x: complex, k: int, q: complex) -> LimitReport:
         res.append(max(r1, r2))
     # the scaled point contributes a*t*(x/t) = a*x plus an O(t^2) tail,
     # so the approach is quadratic in t
-    return LimitReport(
-        LimitKind.H_PRODUCT_LIMITS,
-        LIMIT_SCALES,
-        tuple(res),
-        res[0] / max(res[1], 1e-300),
-        _decay_window(2),
-        order=2,
-    )
+    return LimitReport(LimitKind.H_PRODUCT_LIMITS, tuple(res), order=2)
 
 
 def limit_trig_to_qracah(quad: ParamQuad) -> LimitReport:
@@ -662,14 +645,7 @@ def limit_trig_to_qracah(quad: ParamQuad) -> LimitReport:
         res.append(diff / scale)
     # every factor of the coefficients involves either a t-free ratio or
     # a product of two scaled parameters, so the residual decays as t^2
-    return LimitReport(
-        LimitKind.TRIG_TO_QRACAH,
-        LIMIT_SCALES,
-        tuple(res),
-        res[0] / max(res[1], 1e-300),
-        _decay_window(2),
-        order=2,
-    )
+    return LimitReport(LimitKind.TRIG_TO_QRACAH, tuple(res), order=2)
 
 
 def limit_trig_to_qkraw(
@@ -700,13 +676,7 @@ def limit_trig_to_qkraw(
         quad = ParamQuad(a * s, b * s, cs, d, N, ctx)
         val = (q**k * d / (b * s)) ** (N - l) * R_explicit(quad).entries[k, l]
         res.append(abs(val - target) / max(abs(target), 1e-300))
-    return LimitReport(
-        LimitKind.TRIG_TO_QKRAW,
-        LIMIT_SCALES,
-        tuple(res),
-        res[0] / max(res[1], 1e-300),
-        _decay_window(),
-    )
+    return LimitReport(LimitKind.TRIG_TO_QKRAW, tuple(res))
 
 
 def limit_ell_to_trig(quad: ParamQuad) -> LimitReport:
@@ -732,14 +702,7 @@ def limit_ell_to_trig(quad: ParamQuad) -> LimitReport:
         quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx.with_nome(1e-300)
     )
     extra = float(np.abs(R_explicit(tiny).entries - base).max() / scale)
-    return LimitReport(
-        LimitKind.ELL_TO_TRIG,
-        LIMIT_SCALES,
-        tuple(res),
-        res[0] / max(res[1], 1e-300),
-        _decay_window(),
-        extra_residual=extra,
-    )
+    return LimitReport(LimitKind.ELL_TO_TRIG, tuple(res), extra_residual=extra)
 
 
 # -- statistical-mechanics normalization --------------------------------------

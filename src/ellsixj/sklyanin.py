@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .basis import BasisPair, expand_by_solve, xi_from_x
-from .context import EllipticContext, make_context
+from .context import EllipticContext
 from .errors import DomainError, EvaluationPointError
 from . import scalar
 
@@ -73,6 +72,10 @@ def apply_delta(op: DiffOpSpec, f, xi: complex) -> complex:
     return num / den
 
 
+def _relative_gap(lhs: complex, rhs: complex) -> float:
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
 def _h_product(lam: complex, mu: complex, k: int, N: int, ctx: EllipticContext):
     """h_k(x; lam) h_{N-k}(x; mu) as a function of xi."""
 
@@ -118,7 +121,7 @@ def eigenrelation_check(
     for xi in _sample_points(N):
         lhs = apply_delta(op, lhs_in, xi)
         rhs = mult * rhs_base(xi)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+        worst = max(worst, _relative_gap(lhs, rhs))
     return worst
 
 
@@ -195,9 +198,7 @@ def gevp_check(
         for xi in pts:
             v1 = apply_delta(op1, ek, xi)
             v2 = apply_delta(op2, ek, xi)
-            worst = max(
-                worst, abs(v1 - lam * v2) / max(abs(v1), abs(lam * v2), 1e-300)
-            )
+            worst = max(worst, _relative_gap(v1, lam * v2))
         residuals.append(worst)
     off = None
     if third is not None:
@@ -216,14 +217,18 @@ def gevp_check(
 # -- theta identities ------------------------------------------------------------
 
 
-class ThetaIdentity(str, Enum):
-    PFL = "pfl"
-    RIEMANN = "riemann"
-    TADD = "tadd"
-    LEONARD_TRIDIAG = "leonard_tridiag"
+def pfl_residual(a_list, b_list, xi: complex, ctx: EllipticContext) -> float:
+    """Relative residual of the partial-fraction theta identity at xi.
 
-
-def _pfl_sides(a_list, b_list, xi: complex, ctx: EllipticContext) -> tuple:
+    a_list has n entries and b_list n + 2, with prod(a) * prod(b) = 1.
+    """
+    if len(b_list) != len(a_list) + 2:
+        raise DomainError("need two more b's than a's")
+    prod = 1.0 + 0j
+    for v in (*a_list, *b_list):
+        prod *= v
+    if abs(prod - 1) > 1e-8:
+        raise DomainError("need prod(a) * prod(b) = 1")
     n = len(a_list)
     lhs = xi ** (-n - 1)
     for v in (*a_list, *b_list):
@@ -246,53 +251,26 @@ def _pfl_sides(a_list, b_list, xi: complex, ctx: EllipticContext) -> tuple:
                 term /= scalar.theta(a_list[k] / a_list[j], ctx)
         rhs += term
     rhs *= (-1) ** n * xi * scalar.theta(xi ** (-2), ctx) / prod_a
-    return lhs, rhs
+    return _relative_gap(lhs, rhs)
 
 
-def theta_identity_check(kind: ThetaIdentity, params: dict,
-                         ctx: EllipticContext) -> float:
-    """Relative residual of the requested identity at the given data.
-
-    PFL:     params a_list (n entries), b_list (n+2 entries), xi, with
-             prod(a)*prod(b) = 1.
-    RIEMANN: params u, v, x, y; the three-term theta addition.
-    TADD:    same data at nome zero, evaluated with plain 1-z factors
-             (independent of the theta code).
-    LEONARD_TRIDIAG: params op (a, b, c), lam, mu, N; off-band mass of
-             the operator matrix at nome zero.
-    """
-    kind = ThetaIdentity(kind)
-    if kind == ThetaIdentity.PFL:
-        a_list = tuple(params["a_list"])
-        b_list = tuple(params["b_list"])
-        if len(b_list) != len(a_list) + 2:
-            raise DomainError("need two more b's than a's")
-        prod = 1.0 + 0j
-        for v in (*a_list, *b_list):
-            prod *= v
-        if abs(prod - 1) > 1e-8:
-            raise DomainError("need prod(a) * prod(b) = 1")
-        lhs, rhs = _pfl_sides(a_list, b_list, complex(params["xi"]), ctx)
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    if kind == ThetaIdentity.RIEMANN:
-        u, v, x, y = (complex(params[k]) for k in ("u", "v", "x", "y"))
-        lhs = v / x * scalar.thetas(ctx, x * y, x / y, u * v, u / v)
-        rhs = scalar.thetas(ctx, u * x, u / x, v * y, v / y) - scalar.thetas(
-            ctx, u * y, u / y, v * x, v / x
-        )
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    if kind == ThetaIdentity.TADD:
-        u, v, x, y = (complex(params[k]) for k in ("u", "v", "x", "y"))
-        lhs = v / x * (1 - x * y) * (1 - x / y) * (1 - u * v) * (1 - u / v)
-        rhs = (1 - u * x) * (1 - u / x) * (1 - v * y) * (1 - v / y) - (
-            1 - u * y
-        ) * (1 - u / y) * (1 - v * x) * (1 - v / x)
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    a, b, c = params["op"]
-    N = int(params["N"])
-    trig = make_context(ctx.q, q_half=ctx.q_half)
-    op = DiffOpSpec.three(a, b, c, N, trig)
-    mat = operator_matrix(
-        op, complex(params["lam"]), complex(params["mu"]), N, trig
+def riemann_residual(u: complex, v: complex, x: complex, y: complex,
+                     ctx: EllipticContext) -> float:
+    """Relative residual of the three-term theta addition formula."""
+    lhs = v / x * scalar.thetas(ctx, x * y, x / y, u * v, u / v)
+    rhs = scalar.thetas(ctx, u * x, u / x, v * y, v / y) - scalar.thetas(
+        ctx, u * y, u / y, v * x, v / x
     )
-    return off_band_mass(mat)
+    return _relative_gap(lhs, rhs)
+
+
+def tadd_residual(u: complex, v: complex, x: complex, y: complex) -> float:
+    """The three-term addition at nome zero, in plain 1 - z factors.
+
+    Independent of the theta code, so it is a reference for the trig level.
+    """
+    lhs = v / x * (1 - x * y) * (1 - x / y) * (1 - u * v) * (1 - u / v)
+    rhs = (1 - u * x) * (1 - u / x) * (1 - v * y) * (1 - v / y) - (
+        1 - u * y
+    ) * (1 - u / y) * (1 - v * x) * (1 - v / x)
+    return _relative_gap(lhs, rhs)

@@ -8,16 +8,16 @@ Two equivalent pictures of the same biorthogonal system:
   * Wilson-style functions r_n((z + 1/z)/2; a,...,f) with abcdef = q and
     ab = q^-N, biorthogonal on the grid z_k = a q^k.
 
-`param_map` translates between the two parameter sets, and
-`wilson_addition` evaluates the three expressions of the degree-raising
-addition formula (whose s = t = 1 case is the biorthogonality itself).
+`quad_to_wilson` and `wilson_to_quad` translate between the two parameter
+sets, and `wilson_addition` evaluates the three expressions of the
+degree-raising addition formula (whose s = t = 1 case is the
+biorthogonality itself).
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from enum import Enum
 
 from .context import EllipticContext, make_context
 from .errors import DomainError, SingularParameterError
@@ -250,40 +250,34 @@ def eto_pairing_sum(n: int, m: int, quad: ParamQuad) -> tuple:
 # -- parameter dictionary -------------------------------------------------------
 
 
-class MapDirection(str, Enum):
-    QUAD_TO_WILSON = "quad_to_wilson"
-    WILSON_TO_QUAD = "wilson_to_quad"
+def quad_to_wilson(quad: ParamQuad) -> WilsonParams:
+    """The Wilson parameters of a quad at nome zero.
 
-
-def param_map(direction: MapDirection, params):
-    """Translate between the quad and Wilson parameter sets.
-
-    QUAD_TO_WILSON takes a ParamQuad and returns WilsonParams; the square
-    roots s = sqrt(c/d) and u = sqrt(c*d) are tied so that s*u = c, which
-    fixes a consistent branch.  WILSON_TO_QUAD takes WilsonParams and
-    returns a ParamQuad.  The round trip closes up to a global sign that
-    none of the evaluated quantities depend on.
+    The square roots s = sqrt(c/d) and u = sqrt(c*d) are tied so that
+    s*u = c, which fixes a consistent branch.  With `wilson_to_quad` the
+    round trip closes up to a global sign that none of the evaluated
+    quantities depend on.
     """
-    direction = MapDirection(direction)
-    if direction == MapDirection.QUAD_TO_WILSON:
-        quad: ParamQuad = params
-        if quad.ctx.p != 0:
-            raise DomainError("the Wilson picture has no nome")
-        a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-        q, qh = quad.ctx.q, quad.ctx.q_half
-        s = cmath.sqrt(c / d)
-        u = c / s
-        return WilsonParams(
-            qh ** (-N) * s,
-            qh ** (-N) / s,
-            qh**N * a * u,
-            q * qh ** (-N) / (b * u),
-            qh**N * b / u,
-            qh**N * u / a,
-            q,
-            N,
-        )
-    wp: WilsonParams = params
+    if quad.ctx.p != 0:
+        raise DomainError("the Wilson picture has no nome")
+    a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
+    q, qh = quad.ctx.q, quad.ctx.q_half
+    s = cmath.sqrt(c / d)
+    u = c / s
+    return WilsonParams(
+        qh ** (-N) * s,
+        qh ** (-N) / s,
+        qh**N * a * u,
+        q * qh ** (-N) / (b * u),
+        qh**N * b / u,
+        qh**N * u / a,
+        q,
+        N,
+    )
+
+
+def wilson_to_quad(wp: WilsonParams) -> ParamQuad:
+    """The quad of a Wilson parameter set; inverse of `quad_to_wilson`."""
     a, b, c, d, f, q = wp.a, wp.b, wp.c, wp.d, wp.f, wp.q
     root = cmath.sqrt(c * f)
     return ParamQuad(
@@ -316,21 +310,14 @@ def wilson_addition(n: int, m: int, s: complex, t: complex, wp: WilsonParams) ->
     """
     a, b, c, d, e, f, q, N = wp.a, wp.b, wp.c, wp.d, wp.e, wp.f, wp.q, wp.N
     partner = WilsonParams(a, b, c * s, d * t, f / s, e / t, q, N)
+    deformed = WilsonParams(a, b, c * s, d, e, f / s, q, N)
 
     lhs = 0j
     for k in range(N + 1):
         z = wp.grid_z(k)
-        w = (
-            (1 - a**2 * q ** (2 * k))
-            / (1 - a**2)
-            * scalar.qpochs(q, k, a**2, a * b, a * c * s, a * d, a * e, a * f / s)
-            / scalar.qpochs(
-                q, k, q, a * q / b, a * q / (c * s), a * q / d, a * q / e,
-                a * q * s / f,
-            )
-            * q**k
+        lhs += (
+            wilson_weight(k, deformed) * wilson_r(n, z, wp) * wilson_r(m, z, partner)
         )
-        lhs += w * wilson_r(n, z, wp) * wilson_r(m, z, partner)
 
     sigma = cmath.sqrt(c / f)
     tau = c / sigma  # so sigma * tau = c exactly

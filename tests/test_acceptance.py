@@ -44,7 +44,7 @@ from ellsixj.sixj import (
     paths_qbinomial,
     subset_expansion_sides,
 )
-from ellsixj.sklyanin import ThetaIdentity, theta_identity_check
+from ellsixj.sklyanin import DiffOpSpec, off_band_mass, operator_matrix
 from ellsixj.wilson import (
     eto_norm,
     eto_pairing_sum,
@@ -240,11 +240,8 @@ def test_c08_operator_eigenstructure():
                 break
         else:
             raise AssertionError("no generic operator data found")
-        res = theta_identity_check(
-            ThetaIdentity.LEONARD_TRIDIAG,
-            {"op": (a, b, c), "lam": lam, "mu": mu, "N": N},
-            ctx,
-        )
+        op = DiffOpSpec.three(a, b, c, N, ctx)
+        res = off_band_mass(operator_matrix(op, lam, mu, N, ctx))
         worst = max(worst, res)
     _report("polynomial-limit band structure", worst, 1e-7)
 

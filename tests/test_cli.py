@@ -172,6 +172,13 @@ def test_usage_errors_exit_two(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:")
+    # the elliptic level needs a nonzero nome: p = 0 is the trig level
+    elliptic = ["sixj", "--level", "elliptic", "--a", "1.3", "--b", "0.8",
+                "--c", "0.6,0.2", "--d", "1.1", "--N", "1", "--q", "0.45"]
+    for extra in ([], ["--p", "0"]):
+        code, out, err = _run(capsys, *elliptic, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_verbs_reject_options_they_do_not_read(capsys):
@@ -197,6 +204,14 @@ def test_verbs_reject_options_they_do_not_read(capsys):
     ):
         code, out, _ = _run(capsys, *argv)
         assert code == 2 and out == ""
+    # valid Wilson parameters, so only giving both --z and --k is at fault
+    wilson_ok = ["wilson", "--n", "1", "--a", "1.2", "--b", "2.314814814814815",
+                 "--c", "1.1", "--d", "0.9", "--e", "1.3",
+                 "--f", "0.16783216783216784", "--N", "2", "--q", "0.6"]
+    assert _run(capsys, *wilson_ok, "--z", "0.5")[0] == 0
+    code, out, err = _run(capsys, *wilson_ok, "--z", "0.5", "--k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_help_exits_cleanly(capsys):

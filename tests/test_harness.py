@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ellsixj import harness
+from ellsixj import harness, sixj
 from ellsixj.backend import kernels
 from ellsixj.errors import DomainError, SamplingError
 from ellsixj.harness import (
@@ -91,11 +91,13 @@ def _skewed(fn):
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suites_detect_an_injected_error(name, monkeypatch):
     # every scalar kernel is reached as an attribute of this one module, so
-    # skewing it there corrupts every level, route and suite at once
+    # skewing it there corrupts every level, route and suite at once; the
+    # Krawtchouk level calls no kernel, so its one entry formula is skewed too
     for kernel in _INJECTED:
         monkeypatch.setattr(
             kernels, kernel, _skewed(getattr(kernels, kernel))
         )
+    monkeypatch.setattr(sixj, "krawtchouk_K", _skewed(sixj.krawtchouk_K))
     rep = SUITES[name](FAST[name])
     assert not rep.passed, name
     assert rep.max_residual >= 1e-7, name

@@ -9,13 +9,14 @@ from ellsixj.errors import DomainError, EvaluationPointError
 from ellsixj.harness import Level, SampleConfig, Shape, sample_generic
 from ellsixj.sklyanin import (
     DiffOpSpec,
-    ThetaIdentity,
     apply_delta,
     eigenrelation_check,
     gevp_check,
     off_band_mass,
     operator_matrix,
-    theta_identity_check,
+    pfl_residual,
+    riemann_residual,
+    tadd_residual,
 )
 
 
@@ -102,46 +103,28 @@ def test_theta_identity_pfl():
         b_list = vals[n:]
         prod = np.prod(a_list) * np.prod(b_list)
         b_list.append(1.0 / prod)
-        res = theta_identity_check(
-            ThetaIdentity.PFL,
-            {"a_list": a_list, "b_list": b_list, "xi": 1.19 + 0.23j},
-            ctx,
-        )
+        res = pfl_residual(a_list, b_list, 1.19 + 0.23j, ctx)
         assert res < 1e-10
 
 
 def test_theta_identity_pfl_validation():
     ctx = make_context(0.41, p=0.1)
     with pytest.raises(DomainError):
-        theta_identity_check(
-            ThetaIdentity.PFL,
-            {"a_list": [1.1], "b_list": [0.9, 1.0 / 0.99], "xi": 1.2},
-            ctx,
-        )
+        pfl_residual([1.1], [0.9, 1.0 / 0.99], 1.2, ctx)
     with pytest.raises(DomainError):
-        theta_identity_check(
-            ThetaIdentity.PFL,
-            {"a_list": [1.1], "b_list": [0.9, 0.8, 0.7], "xi": 1.2},
-            ctx,
-        )
+        pfl_residual([1.1], [0.9, 0.8, 0.7], 1.2, ctx)
 
 
 def test_theta_identity_three_term_and_its_trig_shadow():
     ctx = make_context(0.41, p=0.17)
-    params = {"u": 1.13 + 0.21j, "v": 0.87 - 0.34j, "x": 1.31 + 0.12j,
-              "y": 0.74 + 0.45j}
-    assert theta_identity_check(ThetaIdentity.RIEMANN, params, ctx) < 1e-12
-    assert theta_identity_check(
-        ThetaIdentity.TADD, params, make_context(0.41)
-    ) < 1e-12
+    uvxy = (1.13 + 0.21j, 0.87 - 0.34j, 1.31 + 0.12j, 0.74 + 0.45j)
+    assert riemann_residual(*uvxy, ctx) < 1e-12
+    assert tadd_residual(*uvxy) < 1e-12
 
 
 def test_theta_identity_leonard_band():
     ctx = make_context(0.43)
     a, b, c, d, N, _ = _op_data(68, 2)
-    res = theta_identity_check(
-        ThetaIdentity.LEONARD_TRIDIAG,
-        {"op": (a, b, c), "lam": 0.93 + 0.37j, "mu": 1.21 - 0.29j, "N": N},
-        ctx,
-    )
+    op = DiffOpSpec.three(a, b, c, N, ctx)
+    res = off_band_mass(operator_matrix(op, 0.93 + 0.37j, 1.21 - 0.29j, N, ctx))
     assert res < 1e-9

@@ -8,13 +8,12 @@ from ellsixj.errors import DomainError
 from ellsixj.harness import SampleConfig, Shape, sample_generic
 from ellsixj.sixj import ParamQuad, R_explicit
 from ellsixj.wilson import (
-    MapDirection,
     WilsonParams,
     eto_norm,
     eto_pairing_sum,
     eto_weight,
     mu,
-    param_map,
+    quad_to_wilson,
     rational_R,
     rational_R_from_matrix,
     rational_S,
@@ -23,6 +22,7 @@ from ellsixj.wilson import (
     wilson_biorth_sum,
     wilson_norm,
     wilson_r,
+    wilson_to_quad,
 )
 
 
@@ -93,8 +93,8 @@ def test_rational_weights_are_nonzero_on_grid():
 
 def test_param_map_round_trip():
     quad = draw_quad(57, 3)
-    wp = param_map(MapDirection.QUAD_TO_WILSON, quad)
-    quad2 = param_map(MapDirection.WILSON_TO_QUAD, wp)
+    wp = quad_to_wilson(quad)
+    quad2 = wilson_to_quad(wp)
     assert quad2.N == quad.N
     # the round trip may flip every parameter's sign at once; nothing
     # evaluated downstream can see that
@@ -112,7 +112,7 @@ def test_param_map_round_trip():
 def test_param_map_rejects_nome(ell_ctx):
     quad = ParamQuad(0.9 + 0.2j, 1.3, 0.8 - 0.3j, 1.1 + 0.4j, 2, ell_ctx)
     with pytest.raises(DomainError):
-        param_map(MapDirection.QUAD_TO_WILSON, quad)
+        quad_to_wilson(quad)
 
 
 def test_addition_formula_three_ways():
