@@ -75,16 +75,15 @@ from .sixj import (
     LimitReport,
     ParamQuad,
     Route,
-    Symmetry,
     R_double_sum,
     R_explicit,
     R_matrix,
     R_paths,
     R_solve,
-    apply_symmetry,
     band_quad,
     elliptic_W6j,
     gbt_row,
+    inverted_a,
     krawtchouk_K,
     krawtchouk_inverse,
     krawtchouk_matrix,

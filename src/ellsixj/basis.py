@@ -26,8 +26,10 @@ from .context import EllipticContext
 from .errors import DomainError, IllConditionedError
 from . import scalar
 
-#: lattice-resonance window used by the validity tests
-DEFAULT_GEN_DELTA = 1e-5
+#: genericity tolerance: relative distance from a lattice point below which
+#: a parameter counts as resonant; the routes' validity tests and the
+#: harness's sampler share it, so the sampler draws only what the routes accept
+GEN_DELTA = 1e-5
 #: half-width of the nome-power window for elliptic resonance tests
 M_MAX = 3
 #: default collocation radius (|xi| of the sample points)
@@ -87,11 +89,7 @@ class BasisCheck:
 
 
 def _near_lattice(
-    value: complex,
-    q: complex,
-    exponents: range,
-    p: complex,
-    delta: float,
+    value: complex, q: complex, exponents: range, p: complex
 ) -> int | None:
     """Smallest exponent j with value ~ q^j (times a nome power), else None."""
     # nome shifts only matter for a nome of sane size; p^-m overflows below it
@@ -100,16 +98,12 @@ def _near_lattice(
         target = q**j
         for m in ms:
             t = target * p**m if m else target
-            if abs(value - t) <= delta * max(abs(t), 1e-30):
+            if abs(value - t) <= GEN_DELTA * max(abs(t), 1e-30):
                 return j
     return None
 
 
-def basis_valid(
-    pair: BasisPair,
-    ctx: EllipticContext,
-    gen_delta: float = DEFAULT_GEN_DELTA,
-) -> BasisCheck:
+def basis_valid(pair: BasisPair, ctx: EllipticContext) -> BasisCheck:
     """Test the pair against the three degeneration conditions.
 
     c1: c/d on the lattice q^{1-N}, ..., q^{N-1}  (nome-shifted when p != 0)
@@ -122,12 +116,12 @@ def basis_valid(
     if ctx.p != 0 and (c == 0 or d == 0):
         return BasisCheck(False, "c3", "zero parameter at elliptic level")
     if c != 0 and d != 0:
-        j = _near_lattice(c / d, ctx.q, range(1 - N, N), ctx.p, gen_delta)
+        j = _near_lattice(c / d, ctx.q, range(1 - N, N), ctx.p)
         if j is not None:
-            return BasisCheck(False, "c1", f"c/d within {gen_delta} of q^{j}")
-    j = _near_lattice(c * d, ctx.q, range(1 - N, 1), ctx.p, gen_delta)
+            return BasisCheck(False, "c1", f"c/d within {GEN_DELTA} of q^{j}")
+    j = _near_lattice(c * d, ctx.q, range(1 - N, 1), ctx.p)
     if j is not None:
-        return BasisCheck(False, "c2", f"c*d within {gen_delta} of q^{j}")
+        return BasisCheck(False, "c2", f"c*d within {GEN_DELTA} of q^{j}")
     return BasisCheck(True)
 
 

@@ -5,11 +5,10 @@ written "re" or "re,im".  Output goes to stdout as a single JSON document
 (numbers at 17 significant digits) or, for sixj matrices, as CSV with
 header k,l,re,im.  Each verb accepts only the options it reads, and sixj
 only those its --level reads; the elliptic level needs a nonzero --p, and
-wilson takes either --z or a grid index --k, not both.  Exit codes:
-0 success or all-pass, 1 verification failure, 2 usage error, 141
-(128 + SIGPIPE) when stdout closes early, e.g. under `| head`.  The
-environment variable SIXJ_TOL supplies the default tolerance of sklyanin
-and verify; an explicit --tol wins.
+wilson takes either --z or a grid index --k in 0..N, not both.  --tol is
+the only way to override the default tolerance of sklyanin and verify.
+Exit codes: 0 success or all-pass, 1 verification failure, 2 usage error,
+141 (128 + SIGPIPE) when stdout closes early, e.g. under `| head`.
 """
 
 from __future__ import annotations
@@ -47,15 +46,6 @@ def parse_complex(s: str) -> complex:
         re_s, im_s = s.split(",", 1)
         return complex(float(re_s), float(im_s))
     return complex(float(s), 0.0)
-
-
-def _tol(args, fallback: float | None) -> float | None:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("SIXJ_TOL")
-    if env:
-        return float(env)
-    return fallback
 
 
 def _emit_matrix(mat: np.ndarray, fmt: str, meta: dict) -> str:
@@ -135,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--N-max", type=int, default=4)
     p.add_argument("--p-max", type=float, default=0.3)
-    p.add_argument("--gen-delta", type=float, default=1e-5)
     return top
 
 
@@ -205,6 +194,9 @@ def run_command(argv) -> int:
             if args.z is not None and args.k is not None:
                 print("error: give --z or --k, not both", file=sys.stderr)
                 return 2
+            if args.k is not None and not 0 <= args.k <= args.N:
+                print(f"error: need 0 <= --k <= --N = {args.N}", file=sys.stderr)
+                return 2
             wp = WilsonParams(
                 args.a, args.b, args.c, args.d, args.e, args.f, args.q, args.N
             )
@@ -216,7 +208,7 @@ def run_command(argv) -> int:
         if args.verb == "sklyanin":
             ctx = make_context(args.q, p=args.p)
             res = eigenrelation_check(args.a, args.b, args.c, args.k, args.N, ctx)
-            tol = _tol(args, 1e-7)
+            tol = args.tol if args.tol is not None else 1e-7
             print(_json_fragment({"residual": res, "tol": tol, "pass": res <= tol}))
             return 0 if res <= tol else 1
 
@@ -224,9 +216,8 @@ def run_command(argv) -> int:
             seed=args.seed,
             trials=args.trials,
             N_max=args.N_max,
-            gen_delta=args.gen_delta,
             p_max=args.p_max,
-            tol=_tol(args, None),
+            tol=args.tol,
         )
         names = set(args.suite) if args.suite else {"all"}
         agg = run_suite(names, cfg)

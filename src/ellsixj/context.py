@@ -63,10 +63,6 @@ class EllipticContext:
         return EllipticContext(1 / self.q, 1 / self.q_half, self.p)
 
 
-def make_context(
-    q: complex, p: complex = 0j, q_half: complex | None = None
-) -> EllipticContext:
-    """Build a context, defaulting q_half to the principal square root."""
-    if q_half is None:
-        q_half = cmath.sqrt(q)
-    return EllipticContext(q, q_half, p)
+def make_context(q: complex, p: complex = 0j) -> EllipticContext:
+    """Build a context with q_half the principal square root of q."""
+    return EllipticContext(q, cmath.sqrt(q), p)

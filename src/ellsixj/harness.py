@@ -17,15 +17,15 @@ Every trial draws parameters from a counter-split Philox stream keyed by
 (seed, trial index), so runs are reproducible and trials independent.
 Residuals are normalized by the largest term magnitude met while forming
 the identity, not by the (possibly cancelling) result.  The sampler
-rejects parameters that land within `gen_delta` of any lattice point a
-denominator could vanish on; after 100 rejections it gives up loudly
-rather than report a vacuous pass.
+rejects parameters that land within `basis.GEN_DELTA`, the tolerance the
+routes' validity tests use, of any lattice point a denominator could
+vanish on; after 100 rejections it gives up loudly rather than report a
+vacuous pass.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -48,10 +48,9 @@ from .series import eval_V12, jackson_rhs, jackson_spec, series_terms
 from .sixj import (
     ParamQuad,
     Route,
-    Symmetry,
     R_explicit,
     R_matrix,
-    apply_symmetry,
+    inverted_a,
     krawtchouk_inverse,
     krawtchouk_matrix,
     limit_ell_to_trig,
@@ -106,7 +105,6 @@ class SampleConfig:
     seed: int = 0
     trials: int = 20
     N_max: int = 4
-    gen_delta: float = 1e-5
     p_max: float = 0.3
     tol: float | None = None  # None picks the per-level default
 
@@ -115,8 +113,8 @@ class SampleConfig:
             raise DomainError("p_max must lie in [0, 1)")
         if self.trials < 1 or self.N_max < 1:
             raise DomainError("need trials >= 1 and N_max >= 1")
-        if self.gen_delta <= 0 or (self.tol is not None and self.tol <= 0):
-            raise DomainError("gen_delta and tol must be positive")
+        if self.tol is not None and self.tol <= 0:
+            raise DomainError("tol must be positive")
 
 
 @dataclass
@@ -134,7 +132,6 @@ class VerifyReport:
     tol: float
     max_residual: float
     failures: list
-    elapsed: float
 
     @property
     def passed(self) -> bool:
@@ -168,12 +165,12 @@ def _ctx_for(cfg: SampleConfig, rng, level: Level):
     return make_context(q, p=p)
 
 
-def _lattice_clear(vals, ctx, N: int, delta: float) -> bool:
+def _lattice_clear(vals, ctx, N: int) -> bool:
     span = range(-(2 * N + 2), 2 * N + 3)
     for v in vals:
         if not 1e-12 < abs(v) < 1e12:
             return False
-        if _near_lattice(v, ctx.q, span, ctx.p, delta) is not None:
+        if _near_lattice(v, ctx.q, span, ctx.p) is not None:
             return False
     return True
 
@@ -187,32 +184,32 @@ def _pair_screen(params) -> list:
     return out
 
 
-def _sample_quad(cfg: SampleConfig, rng, N: int, ctx) -> ParamQuad:
+def _sample_quad(rng, N: int, ctx) -> ParamQuad:
     for _ in range(RESAMPLE_BUDGET):
         a, b, c, d = (_draw(rng) for _ in range(4))
-        if not basis_valid(BasisPair(c, d, N), ctx, cfg.gen_delta):
+        if not basis_valid(BasisPair(c, d, N), ctx):
             continue
-        if not basis_valid(BasisPair(a, b, N), ctx, cfg.gen_delta):
+        if not basis_valid(BasisPair(a, b, N), ctx):
             continue
-        if _lattice_clear(_pair_screen((a, b, c, d)), ctx, N, cfg.gen_delta):
+        if _lattice_clear(_pair_screen((a, b, c, d)), ctx, N):
             return ParamQuad(a, b, c, d, N, ctx)
     raise SamplingError("no generic quadruple within the rejection budget")
 
 
-def _sample_triple(cfg: SampleConfig, rng, N: int, ctx) -> tuple:
+def _sample_triple(rng, N: int, ctx) -> tuple:
     for _ in range(RESAMPLE_BUDGET):
         vals = tuple(_draw(rng) for _ in range(6))
         a, b, c, d, e, f = vals
         ok = all(
-            basis_valid(BasisPair(u, v, N), ctx, cfg.gen_delta)
+            basis_valid(BasisPair(u, v, N), ctx)
             for u, v in ((a, b), (c, d), (e, f))
         )
-        if ok and _lattice_clear(_pair_screen(vals), ctx, N, cfg.gen_delta):
+        if ok and _lattice_clear(_pair_screen(vals), ctx, N):
             return vals
     raise SamplingError("no generic basis triple within the rejection budget")
 
 
-def _sample_wilson(cfg: SampleConfig, rng, N: int, q: complex) -> WilsonParams:
+def _sample_wilson(rng, N: int, q: complex) -> WilsonParams:
     ctx = make_context(q)
     for _ in range(RESAMPLE_BUDGET):
         a, c, d, e = (_draw(rng) for _ in range(4))
@@ -221,7 +218,7 @@ def _sample_wilson(cfg: SampleConfig, rng, N: int, q: complex) -> WilsonParams:
         vals = (a, b, c, d, e, f)
         # a*b sits on the lattice by construction; screen everything else
         screen = [v for v in _pair_screen(vals) if abs(v - a * b) > 1e-15]
-        if not _lattice_clear(screen, ctx, N, cfg.gen_delta):
+        if not _lattice_clear(screen, ctx, N):
             continue
         try:
             return WilsonParams(a, b, c, d, e, f, q, N)
@@ -230,7 +227,7 @@ def _sample_wilson(cfg: SampleConfig, rng, N: int, q: complex) -> WilsonParams:
     raise SamplingError("no generic sextuple within the rejection budget")
 
 
-def _sample_sklyanin(cfg: SampleConfig, rng, N: int, ctx) -> tuple:
+def _sample_sklyanin(rng, N: int, ctx) -> tuple:
     for _ in range(RESAMPLE_BUDGET):
         a, b, c = (_draw(rng) for _ in range(3))
         d = ctx.q ** (-N) / (a * b * c)
@@ -238,7 +235,7 @@ def _sample_sklyanin(cfg: SampleConfig, rng, N: int, ctx) -> tuple:
         screen = _pair_screen(vals)
         # the operator shifts arguments by half q-powers as well
         screen += [v / ctx.q_half for v in _pair_screen(vals)[::2]]
-        if _lattice_clear(screen, ctx, N, cfg.gen_delta):
+        if _lattice_clear(screen, ctx, N):
             return vals
     raise SamplingError("no generic operator parameters within the budget")
 
@@ -267,12 +264,12 @@ def sample_generic(cfg: SampleConfig, shape: Shape, rng=None, N: int | None = No
         N = _draw_N(cfg, rng, cfg.N_max)
     ctx = _ctx_for(cfg, rng, level)
     if shape == Shape.QUAD:
-        return _sample_quad(cfg, rng, N, ctx)
+        return _sample_quad(rng, N, ctx)
     if shape == Shape.TRIPLE:
-        return (*_sample_triple(cfg, rng, N, ctx), N, ctx)
+        return (*_sample_triple(rng, N, ctx), N, ctx)
     if shape == Shape.WILSON:
-        return _sample_wilson(cfg, rng, N, ctx.q)
-    return (*_sample_sklyanin(cfg, rng, N, ctx), N, ctx)
+        return _sample_wilson(rng, N, ctx.q)
+    return (*_sample_sklyanin(rng, N, ctx), N, ctx)
 
 
 # -- residual helpers ---------------------------------------------------------
@@ -311,14 +308,11 @@ def _quad_params(quad: ParamQuad) -> dict:
 def _levels(levels, default: tuple) -> tuple:
     if levels is None:
         return default
-    if isinstance(levels, (str, Level)):
-        levels = (levels,)
     return tuple(Level(l) for l in levels)
 
 
 def _run(suite: str, cfg: SampleConfig, levels: tuple, trial_fn) -> VerifyReport:
     tol = cfg.tol if cfg.tol is not None else max(LEVEL_TOL[l] for l in levels)
-    start = time.perf_counter()
     worst = 0.0
     failures = []
     for t in range(cfg.trials):
@@ -334,8 +328,7 @@ def _run(suite: str, cfg: SampleConfig, levels: tuple, trial_fn) -> VerifyReport
         worst = max(worst, residual)
         if not (residual <= tol):
             failures.append(Failure(t, params, residual))
-    elapsed = time.perf_counter() - start
-    return VerifyReport(suite, cfg.trials, cfg.seed, tol, worst, failures, elapsed)
+    return VerifyReport(suite, cfg.trials, cfg.seed, tol, worst, failures)
 
 
 # -- suites -------------------------------------------------------------------
@@ -348,7 +341,7 @@ def verify_expansion(cfg: SampleConfig, levels=None) -> VerifyReport:
     def trial(rng, level):
         ctx = _ctx_for(cfg, rng, level)
         N = _draw_N(cfg, rng, 5)
-        quad = _sample_quad(cfg, rng, N, ctx)
+        quad = _sample_quad(rng, N, ctx)
         pair = quad.pair_cd()
         lam = np.array([_draw(rng) for _ in range(N + 1)])
         fns = [h_pair_fn(pair.c, pair.d, j, N, ctx) for j in range(N + 1)]
@@ -382,7 +375,7 @@ def verify_biorthogonality(cfg: SampleConfig, levels=None) -> VerifyReport:
             return res, {"N": N, "abcd": [_cval(v) for v in A1]}
         ctx = _ctx_for(cfg, rng, level)
         N = _draw_N(cfg, rng, 4)
-        quad = _sample_quad(cfg, rng, N, ctx)
+        quad = _sample_quad(rng, N, ctx)
         if level == Level.QRACAH:
             A = qracah_matrix(quad)
             back = ParamQuad(quad.c, quad.d, quad.a, quad.b, N, ctx.inverse_base())
@@ -417,7 +410,7 @@ def verify_addition(cfg: SampleConfig, levels=None) -> VerifyReport:
             }
         ctx = _ctx_for(cfg, rng, level)
         N = _draw_N(cfg, rng, 3)
-        a, b, c, d, e, f = _sample_triple(cfg, rng, N, ctx)
+        a, b, c, d, e, f = _sample_triple(rng, N, ctx)
         lhs = R_matrix(ParamQuad(a, b, e, f, N, ctx)).entries
         A = R_matrix(ParamQuad(a, b, c, d, N, ctx)).entries
         B = R_matrix(ParamQuad(c, d, e, f, N, ctx)).entries
@@ -459,7 +452,7 @@ def verify_convolution(cfg: SampleConfig, levels=None) -> VerifyReport:
             worst = max(gaps) / scale
             return worst, {"M": M, "N": Nn, "abcd": [_cval(v) for v in A1]}
         ctx = _ctx_for(cfg, rng, level)
-        quad = _sample_quad(cfg, rng, M + Nn, ctx)
+        quad = _sample_quad(rng, M + Nn, ctx)
         fused = R_explicit(quad).entries
         scale = max(float(np.abs(fused).max()), 1e-300)
         worst = 0.0
@@ -511,7 +504,7 @@ def verify_multiconv(cfg: SampleConfig, levels=None) -> VerifyReport:
         l = int(rng.integers(0, total + 1))
         sigma = tuple(int(v) for v in rng.permutation(n))
         tau = tuple(int(v) for v in rng.permutation(n))
-        quad = _sample_quad(cfg, rng, total, ctx)
+        quad = _sample_quad(rng, total, ctx)
         rhs = multiconv_rhs(ks, l, Ms, quad, sigma, tau)
         lhs = R_explicit(quad).entries[sum(ks), l]
         res = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
@@ -532,7 +525,7 @@ def verify_jackson(cfg: SampleConfig, levels=None) -> VerifyReport:
         N = _draw_N(cfg, rng, 6)
         for _ in range(RESAMPLE_BUDGET):
             a, b, c, xi = (_draw(rng) for _ in range(4))
-            if _lattice_clear(_pair_screen((a, b, c, xi)), ctx, N, cfg.gen_delta):
+            if _lattice_clear(_pair_screen((a, b, c, xi)), ctx, N):
                 break
         else:
             raise SamplingError("no generic summation data within the budget")
@@ -558,13 +551,16 @@ def verify_symmetry(cfg: SampleConfig, levels=None) -> VerifyReport:
     def trial(rng, level):
         ctx = _ctx_for(cfg, rng, level)
         N = _draw_N(cfg, rng, 4)
-        quad = _sample_quad(cfg, rng, N, ctx)
+        quad = _sample_quad(rng, N, ctx)
+        a, b, c, d = quad.a, quad.b, quad.c, quad.d
         M = R_explicit(quad)
         E = M.entries
+        swap_ab = R_explicit(ParamQuad(b, a, c, d, N, ctx)).entries
+        swap_cd = R_explicit(ParamQuad(a, b, d, c, N, ctx)).entries
         res = max(
-            _entry_residual(apply_symmetry(M, Symmetry.SWAP_AB).entries, E[::-1, :]),
-            _entry_residual(apply_symmetry(M, Symmetry.SWAP_CD).entries, E[:, ::-1]),
-            _entry_residual(apply_symmetry(M, Symmetry.INVERT_A).entries, E),
+            _entry_residual(swap_ab, E[::-1, :]),
+            _entry_residual(swap_cd, E[:, ::-1]),
+            _entry_residual(inverted_a(M).entries, E),
         )
         return res, _quad_params(quad)
 
@@ -584,7 +580,7 @@ def verify_limits(cfg: SampleConfig, levels=None) -> VerifyReport:
         q = _draw_q(rng)
         ctx = make_context(q)
         N = _draw_N(cfg, rng, 3)
-        quad = _sample_quad(cfg, rng, N, ctx)
+        quad = _sample_quad(rng, N, ctx)
         a, x = _draw(rng), _draw(rng)
         k = int(rng.integers(1, 4))
         reps = [
@@ -618,7 +614,7 @@ def verify_wilson(cfg: SampleConfig, levels=None) -> VerifyReport:
         ctx = _ctx_for(cfg, rng, level)
         N = _draw_N(cfg, rng, 4)
         worst = 0.0
-        quad = _sample_quad(cfg, rng, N, ctx)
+        quad = _sample_quad(rng, N, ctx)
         top = min(N, 2)
         for n in range(top + 1):
             for m in range(top + 1):
@@ -626,7 +622,7 @@ def verify_wilson(cfg: SampleConfig, levels=None) -> VerifyReport:
                 want = eto_norm(n, quad) if n == m else 0j
                 worst = max(worst, abs(s - want) / max(sc, abs(want), 1e-300))
         params = _quad_params(quad)
-        wp = _sample_wilson(cfg, rng, N, ctx.q)
+        wp = _sample_wilson(rng, N, ctx.q)
         for n in range(top + 1):
             for m in range(top + 1):
                 s, sc = wilson_biorth_sum(n, m, wp)
@@ -636,9 +632,7 @@ def verify_wilson(cfg: SampleConfig, levels=None) -> VerifyReport:
         for _ in range(RESAMPLE_BUDGET):
             sdef = _draw(rng, 0.7, 1.4)
             tdef = _draw(rng, 0.7, 1.4)
-            if _lattice_clear(
-                (sdef, tdef, sdef * tdef, sdef / tdef), ctx, N, cfg.gen_delta
-            ):
+            if _lattice_clear((sdef, tdef, sdef * tdef, sdef / tdef), ctx, N):
                 try:
                     lhs, mid, rhs = wilson_addition(n, m, sdef, tdef, wp)
                     break
@@ -663,14 +657,14 @@ def verify_sklyanin(cfg: SampleConfig, levels=None) -> VerifyReport:
     def trial(rng, level):
         ctx = _ctx_for(cfg, rng, level)
         N = _draw_N(cfg, rng, 4)
-        a, b, c, d = _sample_sklyanin(cfg, rng, N, ctx)
+        a, b, c, d = _sample_sklyanin(rng, N, ctx)
         k = int(rng.integers(0, N + 1))
         worst = skl.eigenrelation_check(a, b, c, k, N, ctx)
         for _ in range(RESAMPLE_BUDGET):
             lam, mu = _draw(rng), _draw(rng)
             pair = BasisPair(ctx.q_half * lam, ctx.q_half * mu, N)
-            if basis_valid(pair, ctx, cfg.gen_delta) and _lattice_clear(
-                _pair_screen((lam, mu, a, b, c, d)), ctx, N, cfg.gen_delta
+            if basis_valid(pair, ctx) and _lattice_clear(
+                _pair_screen((lam, mu, a, b, c, d)), ctx, N
             ):
                 break
         else:
@@ -684,7 +678,7 @@ def verify_sklyanin(cfg: SampleConfig, levels=None) -> VerifyReport:
                 if _lattice_clear(
                     _pair_screen((a, b, d2))
                     + [a * d2 / ctx.q_half, b * d2 / ctx.q_half],
-                    ctx, N, cfg.gen_delta,
+                    ctx, N,
                 ):
                     break
             else:
@@ -803,7 +797,7 @@ def _json_fragment(obj) -> str:
 
 
 def report_dict(report: VerifyReport) -> dict:
-    """The JSON shape: elapsed is deliberately excluded for reproducibility."""
+    """The JSON shape; it holds no wall time, so reports are byte-reproducible."""
     return {
         "suite": report.suite,
         "trials": report.trials,

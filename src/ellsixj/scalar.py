@@ -88,10 +88,15 @@ def elliptic_pochhammer(a: complex, k: int, ctx: EllipticContext) -> complex:
     if k >= 0:
         return kernels.epoch(complex(a), ctx.q, ctx.p, k, ctx.theta_factors)
     shifted = a * ctx.q**k
-    denom = kernels.epoch(complex(shifted), ctx.q, ctx.p, -k, ctx.theta_factors)
-    if abs(denom) < 1e-250:
-        raise SingularParameterError(f"(a;q,p)_{k}: inverted factor vanishes")
-    return 1.0 / denom
+    for j in range(-k):
+        # theta(x; p) vanishes on x = p^m, and only at x = 1 when p = 0
+        x = shifted * ctx.q**j
+        m = round(math.log(abs(x)) / math.log(abs(ctx.p))) if ctx.p != 0 else 0
+        if abs(1.0 - x * ctx.p ** -m) < 1e-13:
+            raise SingularParameterError(
+                f"(a;q,p)_{k}: factor theta(a q^{k + j}) vanishes"
+            )
+    return 1.0 / kernels.epoch(complex(shifted), ctx.q, ctx.p, -k, ctx.theta_factors)
 
 
 def thetas(ctx: EllipticContext, *xs: complex) -> complex:

@@ -67,12 +67,6 @@ class Route(str, Enum):
     SOLVE = "solve"
 
 
-class Symmetry(str, Enum):
-    SWAP_AB = "swap_ab"
-    SWAP_CD = "swap_cd"
-    INVERT_A = "invert_a"
-
-
 @dataclass
 class CoeffMatrix:
     entries: np.ndarray
@@ -84,9 +78,6 @@ class CoeffMatrix:
     def __post_init__(self) -> None:
         if not np.isfinite(self.entries).all():
             raise DomainError(f"non-finite matrix entries at N = {self.quad.N}")
-
-    def __getitem__(self, kl):
-        return self.entries[kl]
 
 
 # -- Krawtchouk level -------------------------------------------------------
@@ -464,24 +455,13 @@ def _require_valid(quad: ParamQuad) -> None:
 # -- symmetries --------------------------------------------------------------
 
 
-def apply_symmetry(M: CoeffMatrix, which: Symmetry) -> CoeffMatrix:
-    """Recompute the matrix from the transformed parameters.
+def inverted_a(M: CoeffMatrix) -> CoeffMatrix:
+    """Row k recomputed with a -> q^(1-k)/a and scaled by q^(2 C(k,2)) a^(2k).
 
-    SWAP_AB gives the matrix the caller should compare against the
-    row-reversed original, SWAP_CD against the column-reversed one, and
-    INVERT_A (with its per-row scale) against the original itself.
+    By the inversion covariance the result equals M itself.
     """
     quad, route = M.quad, M.route
     ctx, q, N = quad.ctx, quad.ctx.q, quad.N
-    which = Symmetry(which)
-    if which == Symmetry.SWAP_AB:
-        return R_matrix(
-            ParamQuad(quad.b, quad.a, quad.c, quad.d, N, ctx), route
-        )
-    if which == Symmetry.SWAP_CD:
-        return R_matrix(
-            ParamQuad(quad.a, quad.b, quad.d, quad.c, N, ctx), route
-        )
     ent = np.empty((N + 1, N + 1), dtype=complex)
     for k in range(N + 1):
         inverted = ParamQuad(

@@ -82,7 +82,7 @@ def test_c02_four_route_agreement():
             rng = _trial_rng(cfg, t)
             ctx = _ctx_for(cfg, rng, level)
             N = _draw_N(cfg, rng, 5)
-            quad = _sample_quad(cfg, rng, N, ctx)
+            quad = _sample_quad(rng, N, ctx)
             mats = [R_matrix(quad, route).entries for route in Route]
             for A, B in itertools.combinations(mats, 2):
                 scale = max(
@@ -115,7 +115,7 @@ def test_c04_intermediate_basis_addition():
             rng = _trial_rng(cfg, t)
             ctx = make_context(_draw_q(rng), p=complex(p))
             N = _draw_N(cfg, rng, 3)
-            a, b, c, d, e, f = _sample_triple(cfg, rng, N, ctx)
+            a, b, c, d, e, f = _sample_triple(rng, N, ctx)
             lhs = R_explicit(ParamQuad(a, b, e, f, N, ctx)).entries
             A = R_explicit(ParamQuad(a, b, c, d, N, ctx)).entries
             B = R_explicit(ParamQuad(c, d, e, f, N, ctx)).entries
@@ -131,7 +131,7 @@ def test_c05_binary_convolution_variants():
             for t in range(cfg.trials):
                 rng = _trial_rng(cfg, t)
                 ctx = _ctx_for(cfg, rng, level)
-                quad = _sample_quad(cfg, rng, M + Nn, ctx)
+                quad = _sample_quad(rng, M + Nn, ctx)
                 fused = R_explicit(quad).entries
                 scale = max(float(np.abs(fused).max()), 1e-300)
                 for sigma in ((0, 1), (1, 0)):
@@ -163,7 +163,7 @@ def test_c06_multifactor_fusion():
     for t in range(3):
         rng = _trial_rng(cfg, t)
         ctx = _ctx_for(cfg, rng, (Level.TRIG, Level.ELLIPTIC)[t % 2])
-        quad = _sample_quad(cfg, rng, 3, ctx)
+        quad = _sample_quad(rng, 3, ctx)
         ks, l = (1, 0, 1), int(rng.integers(0, 4))
         vals = [
             multiconv_rhs(ks, l, (1, 1, 1), quad, sigma, (0, 1, 2))
@@ -185,8 +185,8 @@ def test_c07_rational_grid_biorthogonality_and_addition():
         rng = _trial_rng(cfg, t)
         ctx = _ctx_for(cfg, rng, Level.TRIG)
         N = _draw_N(cfg, rng, 5)
-        quad = _sample_quad(cfg, rng, N, ctx)
-        wp = _sample_wilson(cfg, rng, N, ctx.q)
+        quad = _sample_quad(rng, N, ctx)
+        wp = _sample_wilson(rng, N, ctx.q)
         for n in range(N + 1):
             for m in range(N + 1):
                 total, _ = wilson_biorth_sum(n, m, wp)
@@ -208,7 +208,7 @@ def test_c07_rational_grid_biorthogonality_and_addition():
         for _ in range(100):
             s = _draw(rng, 0.7, 1.4)
             tt = _draw(rng, 0.7, 1.4)
-            if _lattice_clear((s, tt, s * tt, s / tt), ctx, N, cfg.gen_delta):
+            if _lattice_clear((s, tt, s * tt, s / tt), ctx, N):
                 lhs, mid, rhs = wilson_addition(n, m, s, tt, wp)
                 break
         else:
@@ -235,7 +235,7 @@ def test_c08_operator_eigenstructure():
         N = _draw_N(cfg, rng, 3)
         for _ in range(100):
             vals = tuple(_draw(rng) for _ in range(5))
-            if _lattice_clear(_pair_screen(vals), ctx, N, cfg.gen_delta):
+            if _lattice_clear(_pair_screen(vals), ctx, N):
                 a, b, c, lam, mu = vals
                 break
         else:
@@ -285,9 +285,8 @@ def test_c11_band_support():
             for _ in range(100):
                 a, b = _draw(rng), _draw(rng)
                 quad = band_quad(a, b, m, M, N, ctx)
-                if basis_valid(
-                    BasisPair(quad.c, quad.d, N), ctx, cfg.gen_delta
-                ) and basis_valid(BasisPair(a, b, N), ctx, cfg.gen_delta):
+                cd_ok = basis_valid(BasisPair(quad.c, quad.d, N), ctx)
+                if cd_ok and basis_valid(BasisPair(a, b, N), ctx):
                     break
             else:
                 raise AssertionError("no generic banded quad found")

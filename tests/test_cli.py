@@ -142,18 +142,6 @@ def test_verify_failure_exit_code(capsys):
     assert json.loads(out)["pass"] is False
 
 
-def test_tol_env_var_and_flag_precedence(capsys, monkeypatch):
-    args = ["verify", "--suite", "symmetry", "--trials", "2", "--N-max", "3"]
-    monkeypatch.setenv("SIXJ_TOL", "1e-30")
-    code, out, _ = _run(capsys, *args)
-    assert code == 1
-    code, out, _ = _run(capsys, *args, "--tol", "1.0")
-    assert code == 0
-    monkeypatch.delenv("SIXJ_TOL")
-    code, out, _ = _run(capsys, *args)
-    assert code == 0
-
-
 def test_usage_errors_exit_two(capsys):
     code, _, _ = _run(capsys, "sixj", "--a", "1.1")  # missing required args
     assert code == 2
@@ -179,6 +167,15 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = _run(capsys, *elliptic, *extra)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+    # a wilson grid index must lie in 0..N
+    wilson = ["wilson", "--n", "1", "--a", "1.2", "--b", "2.314814814814815",
+              "--c", "1.1", "--d", "0.9", "--e", "1.3",
+              "--f", "0.16783216783216784", "--N", "2", "--q", "0.6"]
+    assert _run(capsys, *wilson, "--k", "2")[0] == 0
+    for k in ("7", "-1"):
+        code, out, err = _run(capsys, *wilson, "--k", k)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_verbs_reject_options_they_do_not_read(capsys):
@@ -195,6 +192,7 @@ def test_verbs_reject_options_they_do_not_read(capsys):
         ["sixj", *quad, "--level", "krawtchouk", "--q", "0.45"],
         ["sixj", *quad, "--level", "krawtchouk", "--p", "0.2"],
         [*verify, "--theta-eps", "1e-12"],
+        [*verify, "--gen-delta", "1e-5"],
         [*verify, "--format", "csv"],
         [*wilson, "--tol", "1e-3"],
         [*wilson, "--theta-eps", "1e-12"],

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ellsixj import harness, sixj
+from ellsixj import basis, harness, sixj
 from ellsixj.backend import kernels
 from ellsixj.errors import DomainError, SamplingError
 from ellsixj.harness import (
@@ -63,8 +63,9 @@ def test_sampled_shapes_respect_their_constraints():
     assert abs(a * b * c * d - ctx.q**-2) < 1e-12
 
 
-def test_sampler_gives_up_inside_an_impossible_window():
-    cfg = SampleConfig(seed=1, N_max=2, gen_delta=10.0)
+def test_sampler_gives_up_inside_an_impossible_window(monkeypatch):
+    monkeypatch.setattr(basis, "GEN_DELTA", 10.0)
+    cfg = SampleConfig(seed=1, N_max=2)
     with pytest.raises(SamplingError):
         sample_generic(cfg, Shape.QUAD)
 

@@ -138,6 +138,19 @@ def test_elliptic_pochhammer_is_theta_product():
         assert rel(scalar.elliptic_pochhammer(a, k, ctx), want) < 1e-12
 
 
+def test_elliptic_pochhammer_negative_index():
+    # (a; q, p)_{-k} (a q^{-k}; q, p)_k == 1, and a vanishing inverted factor
+    # raises: at a = q^2, k = -3 the factors are theta(q^-1) theta(1) theta(q)
+    ctx = make_context(0.45, p=0.2)
+    a = 0.8 + 0.35j
+    got = scalar.elliptic_pochhammer(a, -3, ctx) * scalar.elliptic_pochhammer(
+        a * ctx.q**-3, 3, ctx
+    )
+    assert rel(got, 1.0) < 1e-12
+    with pytest.raises(SingularParameterError):
+        scalar.elliptic_pochhammer(ctx.q**2, -3, ctx)
+
+
 def test_multi_argument_wrappers():
     ctx = make_context(0.41, p=0.12)
     args = (0.7 + 0.3j, 1.4 - 0.2j, 0.9 + 0.9j)

@@ -40,9 +40,14 @@ def test_chu_vandermonde():
     for _ in range(20):
         b, c = _cnum(rng), _cnum(rng, 0.8, 2.4)
         n = int(rng.integers(0, 7))
-        got = eval_rFs(f_spec((b, -n), (c,), 1.0, n))
+        spec = f_spec((b, -n), (c,), 1.0, n)
+        got = eval_rFs(spec)
         want = scalar.rising_factorial(c - b, n) / scalar.rising_factorial(c, n)
         assert rel(got, want) < 1e-11
+        # the from-scratch terms are the oracle of the kernel sum
+        terms = list(series_terms(spec))
+        assert len(terms) == n + 1
+        assert rel(sum(terms), got) < 1e-12
 
 
 def test_q_vandermonde():

@@ -24,11 +24,10 @@ from ellsixj.sixj import (
     R_matrix,
     R_paths,
     Route,
-    Symmetry,
-    apply_symmetry,
     band_quad,
     elliptic_W6j,
     gbt_row,
+    inverted_a,
     krawtchouk_K,
     krawtchouk_addition_sides,
     krawtchouk_inverse,
@@ -249,11 +248,12 @@ def test_qracah_rejects_nome(ell_ctx):
 @pytest.mark.parametrize("level", [Level.TRIG, Level.ELLIPTIC])
 def test_symmetries_reindex_the_matrix(level):
     quad = draw_quad(38, 3, level)
+    a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
     M = R_explicit(quad)
     E = M.entries
-    assert rel(apply_symmetry(M, Symmetry.SWAP_AB).entries, E[::-1, :]) < 1e-9
-    assert rel(apply_symmetry(M, Symmetry.SWAP_CD).entries, E[:, ::-1]) < 1e-9
-    assert rel(apply_symmetry(M, Symmetry.INVERT_A).entries, E) < 1e-9
+    assert rel(R_explicit(ParamQuad(b, a, c, d, N, ctx)).entries, E[::-1, :]) < 1e-9
+    assert rel(R_explicit(ParamQuad(a, b, d, c, N, ctx)).entries, E[:, ::-1]) < 1e-9
+    assert rel(inverted_a(M).entries, E) < 1e-9
 
 
 # -- addition through an intermediate basis -----------------------------------
@@ -368,6 +368,14 @@ def test_multifactor_fusion_is_permutation_invariant():
     fused = R_explicit(quad).entries[sum(ks), l]
     for v in vals:
         assert rel(v, fused) < 1e-9
+
+
+def test_multiconv_rhs_rejects_bad_indices():
+    quad = draw_quad(45, 3, Level.TRIG)
+    with pytest.raises(DomainError):
+        multiconv_rhs((1, 0, 1), 2, (1, 1, 1), quad, (0, 0, 2), (0, 1, 2))
+    with pytest.raises(DomainError):
+        multiconv_rhs((2, 0, 1), 2, (1, 1, 1), quad, (0, 1, 2), (0, 1, 2))
 
 
 @pytest.mark.parametrize("level", [Level.TRIG, Level.ELLIPTIC])
