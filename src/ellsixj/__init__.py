@@ -60,7 +60,6 @@ from .series import (
     eval_W,
     eval_rFs,
     eval_rphi_s,
-    eval_series,
     f_spec,
     jackson_rhs,
     jackson_spec,
@@ -71,7 +70,6 @@ from .series import (
 )
 from .sixj import (
     CoeffMatrix,
-    LimitKind,
     LimitReport,
     ParamQuad,
     Route,

@@ -18,7 +18,8 @@ Conventions:
 
 from __future__ import annotations
 
-# magnitude below which a denominator factor counts as an exact zero
+# magnitude below which a denominator factor counts as an exact zero; the
+# `scalar` wrappers and the `sixj` prefactors test against it as well
 SINGULAR_EPS = 1e-13
 
 

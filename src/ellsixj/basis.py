@@ -64,15 +64,27 @@ def h_value(x: complex, a: complex, k: int, ctx: EllipticContext) -> complex:
     )
 
 
+def h_pair_xi(
+    a: complex, b: complex, k: int, N: int, ctx: EllipticContext
+) -> Callable[[complex], complex]:
+    """xi -> h_k(x; a) h_{N-k}(x; b) at x = xi + 1/xi."""
+
+    def g(xi: complex) -> complex:
+        ha = scalar.elliptic_pochhammer(a * xi, k, ctx)
+        ha *= scalar.elliptic_pochhammer(a / xi, k, ctx)
+        hb = scalar.elliptic_pochhammer(b * xi, N - k, ctx)
+        hb *= scalar.elliptic_pochhammer(b / xi, N - k, ctx)
+        return ha * hb
+
+    return g
+
+
 def h_pair_fn(
     a: complex, b: complex, k: int, N: int, ctx: EllipticContext
 ) -> Callable[[complex], complex]:
     """x -> h_k(x; a) h_{N-k}(x; b)."""
-
-    def f(x: complex) -> complex:
-        return h_value(x, a, k, ctx) * h_value(x, b, N - k, ctx)
-
-    return f
+    g = h_pair_xi(a, b, k, N, ctx)
+    return lambda x: g(xi_from_x(x))
 
 
 # -- validity --------------------------------------------------------------

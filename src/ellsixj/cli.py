@@ -3,9 +3,11 @@
 Verbs: theta, series, sixj, wilson, sklyanin, verify.  Complex values are
 written "re" or "re,im".  Output goes to stdout as a single JSON document
 (numbers at 17 significant digits) or, for sixj matrices, as CSV with
-header k,l,re,im.  Each verb accepts only the options it reads, and sixj
-only those its --level reads; the elliptic level needs a nonzero --p, and
-wilson takes either --z or a grid index --k in 0..N, not both.  --tol is
+header k,l,re,im.  Each verb accepts only the options it reads, series
+only those its --family reads and sixj only those its --level reads.
+Series families W and V12 need --a; an absent --q, --z or --p is 0.5, 1
+or 0.  The elliptic level needs a nonzero --p.  wilson takes a degree --n
+in 0..N and either --z or a grid index --k in 0..N, not both.  --tol is
 the only way to override the default tolerance of sklyanin and verify.
 Exit codes: 0 success or all-pass, 1 verification failure, 2 usage error,
 141 (128 + SIGPIPE) when stdout closes early, e.g. under `| head`.
@@ -22,14 +24,14 @@ import numpy as np
 from .context import make_context
 from .errors import SixjError
 from .harness import (
-    SUITES,
     SampleConfig,
     _json_fragment,
     aggregate_json,
     report_json,
     run_suite,
 )
-from .series import eval_series, f_spec, phi_spec, v12_spec, w_spec
+from .series import eval_V12, eval_W, eval_rFs, eval_rphi_s
+from .series import f_spec, phi_spec, v12_spec, w_spec
 from .sixj import ParamQuad, Route, R_matrix, krawtchouk_matrix, qracah_matrix
 from .sklyanin import eigenrelation_check
 from .wilson import WilsonParams, wilson_r
@@ -38,6 +40,20 @@ from . import scalar
 DEFAULT_Q = 0.5
 #: exit status when stdout closes early, 128 + SIGPIPE
 EXIT_BROKEN_PIPE = 141
+#: the optional options each series family reads
+SERIES_READS = {
+    "F": ("top", "bottom", "z"),
+    "phi": ("top", "bottom", "q", "z"),
+    "W": ("a", "b", "q", "z"),
+    "V12": ("a", "b", "q", "p"),
+}
+#: the optional options each sixj level reads
+SIXJ_READS = {
+    "krawtchouk": (),
+    "qracah": ("q",),
+    "trig": ("method", "q"),
+    "elliptic": ("method", "q", "p"),
+}
 
 
 def parse_complex(s: str) -> complex:
@@ -64,6 +80,20 @@ def _emit_matrix(mat: np.ndarray, fmt: str, meta: dict) -> str:
     return _json_fragment(meta)
 
 
+def _reject_unread(args, table: dict, key: str, what: str) -> bool:
+    """Report the options of `table` that were given but table[key] lacks.
+
+    Returns True if there are any.  An option counts as given unless its
+    value is None or an empty list.
+    """
+    names = dict.fromkeys(n for reads in table.values() for n in reads)
+    given = [n for n in names if getattr(args, n) not in (None, [])]
+    unread = [f"--{n}" for n in given if n not in table[key]]
+    if unread:
+        print(f"error: {what} {key} does not read {', '.join(unread)}", file=sys.stderr)
+    return bool(unread)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ellsixj")
     sub = top.add_subparsers(dest="verb", required=True)
@@ -75,15 +105,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=parse_complex, required=True)
     p.add_argument("--p", type=parse_complex, default=0j)
 
+    # here and in sixj, None or [] marks an option as not given: a family
+    # or level that does not read it rejects it rather than drop it
     p = sub.add_parser("series")
-    p.add_argument("--family", choices=("F", "phi", "W", "V12"), required=True)
+    p.add_argument("--family", choices=tuple(SERIES_READS), required=True)
     p.add_argument("--top", type=parse_complex, action="append", default=[])
     p.add_argument("--bottom", type=parse_complex, action="append", default=[])
     p.add_argument("--a", type=parse_complex)
     p.add_argument("--b", type=parse_complex, action="append", default=[])
-    p.add_argument("--q", type=parse_complex, default=complex(DEFAULT_Q))
-    p.add_argument("--p", type=parse_complex, default=0j)
-    p.add_argument("--z", type=parse_complex, default=1.0 + 0j)
+    p.add_argument("--q", type=parse_complex)
+    p.add_argument("--p", type=parse_complex)
+    p.add_argument("--z", type=parse_complex)
     p.add_argument("--terms", type=int, required=True)
 
     p = sub.add_parser("sixj")
@@ -93,8 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("krawtchouk", "qracah", "trig", "elliptic"),
         default="trig",
     )
-    # None marks an option as not given: a level that does not read it
-    # rejects it rather than drop it
     p.add_argument("--method", choices=tuple(r.value for r in Route))
     for name in ("a", "b", "c", "d"):
         p.add_argument(f"--{name}", type=parse_complex, required=True)
@@ -142,30 +172,28 @@ def run_command(argv) -> int:
             return 0
 
         if args.verb == "series":
-            if args.family == "F":
-                spec = f_spec(args.top, args.bottom, args.z, args.terms)
-            elif args.family == "phi":
-                spec = phi_spec(args.top, args.bottom, args.q, args.z, args.terms)
-            elif args.family == "W":
-                spec = w_spec(args.a, args.b, args.q, args.z, args.terms)
+            family = args.family
+            if _reject_unread(args, SERIES_READS, family, "family"):
+                return 2
+            if family in ("W", "V12") and args.a is None:
+                print(f"error: family {family} needs --a", file=sys.stderr)
+                return 2
+            q = args.q if args.q is not None else complex(DEFAULT_Q)
+            z = args.z if args.z is not None else 1.0 + 0j
+            if family == "F":
+                val = eval_rFs(f_spec(args.top, args.bottom, z, args.terms))
+            elif family == "phi":
+                val = eval_rphi_s(phi_spec(args.top, args.bottom, q, z, args.terms))
+            elif family == "W":
+                val = eval_W(w_spec(args.a, args.b, q, z, args.terms))
             else:
-                spec = v12_spec(args.a, args.b, args.q, args.p, args.terms)
-            ctx = make_context(args.q, p=args.p)
-            val = eval_series(spec, ctx if args.family == "V12" else None)
-            print(_json_fragment({"family": args.family, "value": val}))
+                p = args.p if args.p is not None else 0j
+                val = eval_V12(v12_spec(args.a, args.b, q, p, args.terms))
+            print(_json_fragment({"family": family, "value": val}))
             return 0
 
         if args.verb == "sixj":
-            reads = {
-                "--method": args.level in ("trig", "elliptic"),
-                "--q": args.level != "krawtchouk",
-                "--p": args.level == "elliptic",
-            }
-            given = {"--method": args.method, "--q": args.q, "--p": args.p}
-            unread = [o for o, v in given.items() if v is not None and not reads[o]]
-            if unread:
-                print(f"error: level {args.level} does not read {', '.join(unread)}",
-                      file=sys.stderr)
+            if _reject_unread(args, SIXJ_READS, args.level, "level"):
                 return 2
             if args.level == "elliptic" and not args.p:
                 print("error: level elliptic needs a nonzero --p", file=sys.stderr)

@@ -26,7 +26,7 @@ vacuous pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -51,6 +51,7 @@ from .sixj import (
     R_explicit,
     R_matrix,
     inverted_a,
+    krawtchouk_addition_sides,
     krawtchouk_inverse,
     krawtchouk_matrix,
     limit_ell_to_trig,
@@ -60,8 +61,6 @@ from .sixj import (
     multiconv_rhs,
     paths_qbinomial,
     qracah_matrix,
-    sl2_compose,
-    sl2_inverse,
     subset_expansion_sides,
 )
 from .wilson import (
@@ -399,9 +398,7 @@ def verify_addition(cfg: SampleConfig, levels=None) -> VerifyReport:
             N = _draw_N(cfg, rng, 5)
             A1 = _sample_sl2(rng)
             A2 = _sample_sl2(rng)
-            lhs = krawtchouk_matrix(N, *A1)
-            bridge = krawtchouk_matrix(N, *sl2_compose(A1, sl2_inverse(A2)))
-            K2 = krawtchouk_matrix(N, *A2)
+            lhs, bridge, K2 = krawtchouk_addition_sides(N, A1, A2)
             res = _product_residual(bridge, K2, lhs)
             return res, {
                 "N": N,
@@ -571,11 +568,6 @@ def verify_limits(cfg: SampleConfig, levels=None) -> VerifyReport:
     """Each degeneration decays at its stated order, and nome zero is exact."""
     levels = _levels(levels, (Level.TRIG,))
 
-    def miss(rep) -> float:
-        lo, hi = rep.window
-        out = max(0.0, (lo - rep.ratio) / lo, (rep.ratio - hi) / hi)
-        return out + rep.extra_residual
-
     def trial(rng, level):
         q = _draw_q(rng)
         ctx = make_context(q)
@@ -594,7 +586,7 @@ def verify_limits(cfg: SampleConfig, levels=None) -> VerifyReport:
             ),
             limit_ell_to_trig(quad=quad),
         ]
-        res = max(miss(rep) for rep in reps)
+        res = max(rep.miss for rep in reps)
         params = _quad_params(quad)
         params.update({"hk": k, "ha": _cval(a), "hx": _cval(x)})
         return res, params
@@ -747,8 +739,6 @@ class AggregateReport:
 
 def run_suite(names, cfg: SampleConfig) -> AggregateReport:
     """Run the named suites (or 'all') and aggregate deterministically."""
-    if isinstance(names, str):
-        names = {names}
     names = set(names)
     if "all" in names:
         names = set(SUITES)
@@ -785,14 +775,6 @@ def _json_fragment(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_json_fragment(v) for v in obj) + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (np.integer,)):
-        return repr(int(obj))
-    if isinstance(obj, (np.floating,)):
-        return _json_fragment(float(obj))
-    if isinstance(obj, np.complexfloating):
-        return _json_fragment(complex(obj))
     raise DomainError(f"unserializable value of type {type(obj).__name__}")
 
 

@@ -45,7 +45,7 @@ def q_pochhammer(a: complex, q: complex, k: int) -> complex:
         return kernels.qpoch(complex(a), complex(q), k)
     shifted = a * q**k
     for j in range(-k):
-        if abs(1.0 - shifted * q**j) < 1e-13:
+        if abs(1.0 - shifted * q**j) < kernels.SINGULAR_EPS:
             raise SingularParameterError(
                 f"(a;q)_{k}: factor 1 - a q^{k + j} vanishes"
             )
@@ -58,7 +58,7 @@ def q_binomial(N: int, k: int, q: complex) -> complex:
     if k < 0 or k > N:
         return 0j
     for j in range(1, N + 1):
-        if abs(1.0 - q**j) < 1e-13:
+        if abs(1.0 - q**j) < kernels.SINGULAR_EPS:
             raise SingularParameterError(
                 f"q-binomial at root of unity: 1 - q^{j} vanishes"
             )
@@ -92,7 +92,7 @@ def elliptic_pochhammer(a: complex, k: int, ctx: EllipticContext) -> complex:
         # theta(x; p) vanishes on x = p^m, and only at x = 1 when p = 0
         x = shifted * ctx.q**j
         m = round(math.log(abs(x)) / math.log(abs(ctx.p))) if ctx.p != 0 else 0
-        if abs(1.0 - x * ctx.p ** -m) < 1e-13:
+        if abs(1.0 - x * ctx.p ** -m) < kernels.SINGULAR_EPS:
             raise SingularParameterError(
                 f"(a;q,p)_{k}: factor theta(a q^{k + j}) vanishes"
             )

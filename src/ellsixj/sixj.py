@@ -25,20 +25,18 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
+from .backend import kernels
 from .basis import BasisPair, basis_valid, expand_by_solve, h_pair_fn
 from .context import EllipticContext
 from .errors import DomainError, SingularParameterError
 from .series import eval_V12, eval_rphi_s, phi_spec, v12_spec
 from . import scalar
-
-#: magnitude below which a prefactor denominator counts as resonant
-PREFACTOR_EPS = 1e-13
 
 
 @dataclass(frozen=True)
@@ -263,7 +261,7 @@ def _balanced_ratio(num: list, den: list, what: str) -> complex:
             acc *= num[i]
         if i < len(den):
             f = den[i]
-            if abs(f) < PREFACTOR_EPS:
+            if abs(f) < kernels.SINGULAR_EPS:
                 raise SingularParameterError(f"{what}: denominator factor ~ 0")
             acc /= f
     return acc
@@ -299,6 +297,17 @@ def _r_entry_explicit(quad: ParamQuad, k: int, l: int) -> complex:
         (q, N - l),
     ])
     pref = _balanced_ratio(num, den, "entry prefactor")
+    return pref * entry_series(quad, k, l)
+
+
+def entry_series(quad: ParamQuad, k: int, l: int) -> complex:
+    """The terminating very-well-poised series of entry (k, l).
+
+    Leading parameter q^(-N) c/b, min(k, l) + 1 terms; twelve over eleven
+    at p != 0 and ten over nine at p = 0.
+    """
+    a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
+    q = ctx.q
     alpha = q ** (-N) * c / b
     shared = (q ** (k - N) * a / b, q ** (l - N) * c / d, c * d,
               q ** (1 - N) / (a * b), q * c / b)
@@ -308,8 +317,7 @@ def _r_entry_explicit(quad: ParamQuad, k: int, l: int) -> complex:
     else:
         bs = (q ** (-k), *shared, q ** (-l))
         n = l
-    series = eval_V12(v12_spec(alpha, bs, q, ctx.p, n), ctx)
-    return pref * series
+    return eval_V12(v12_spec(alpha, bs, q, ctx.p, n), ctx)
 
 
 def R_explicit(quad: ParamQuad) -> CoeffMatrix:
@@ -383,7 +391,7 @@ def _step_weight(quad, early: bool, right: bool, x: int, y: int, k: int) -> comp
             num = scalar.thetas(ctx, q ** (2 * x + y) * a * c, q**y * a / c)
         else:
             num = scalar.thetas(ctx, q ** (2 * x + y - k) * b * c, q ** (y - k) * b / c)
-    if abs(den) < PREFACTOR_EPS:
+    if abs(den) < kernels.SINGULAR_EPS:
         raise SingularParameterError("path step denominator vanishes")
     return num / den
 
@@ -541,43 +549,37 @@ def multiconv_rhs(ks, l: int, Ms, quad: ParamQuad, sigma, tau) -> complex:
 # -- limit transitions --------------------------------------------------------
 
 
-class LimitKind(str, Enum):
-    ELL_TO_TRIG = "ell_to_trig"
-    TRIG_TO_QRACAH = "trig_to_qracah"
-    TRIG_TO_QKRAW = "trig_to_qkraw"
-    H_PRODUCT_LIMITS = "h_product_limits"
-
-
 #: the two scales each limit transition is probed at
 LIMIT_SCALES = (1e-3, 1e-4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LimitReport:
     """Quantitative convergence record for one limit transition.
 
     `order` is the power of the scale parameter governing the residual:
     transitions whose parameter dependence enters only through products
     of two scaled parameters converge one order faster than the scale
-    itself, and their ratio window reflects that.
+    itself, and their ratio window reflects that.  `miss` is how far the
+    ratio of the two residuals falls outside the window, relative to the
+    nearer bound, plus `extra_residual`; the harness holds it to the
+    suite tolerance.
     """
 
-    kind: LimitKind
     residuals: tuple
     order: int = 1
     extra_residual: float = 0.0
-    t_values: tuple = field(init=False, default=())
-    ratio: float = field(init=False, default=0.0)
-    window: tuple = field(init=False, default=())
-    passed: bool = field(init=False, default=False)
 
-    def __post_init__(self) -> None:
-        self.t_values = LIMIT_SCALES
-        self.ratio = self.residuals[0] / max(self.residuals[1], 1e-300)
+    @property
+    def window(self) -> tuple:
         r = (LIMIT_SCALES[0] / LIMIT_SCALES[1]) ** self.order
-        lo, hi = 0.5 * r, 2.0 * r
-        self.window = (lo, hi)
-        self.passed = (lo <= self.ratio <= hi) and self.extra_residual <= 1e-12
+        return (0.5 * r, 2.0 * r)
+
+    @property
+    def miss(self) -> float:
+        lo, hi = self.window
+        ratio = self.residuals[0] / max(self.residuals[1], 1e-300)
+        return max(0.0, (lo - ratio) / lo, (ratio - hi) / hi) + self.extra_residual
 
 
 def limit_h_product(a: complex, x: complex, k: int, q: complex) -> LimitReport:
@@ -602,7 +604,7 @@ def limit_h_product(a: complex, x: complex, k: int, q: complex) -> LimitReport:
         res.append(max(r1, r2))
     # the scaled point contributes a*t*(x/t) = a*x plus an O(t^2) tail,
     # so the approach is quadratic in t
-    return LimitReport(LimitKind.H_PRODUCT_LIMITS, tuple(res), order=2)
+    return LimitReport(tuple(res), order=2)
 
 
 def limit_trig_to_qracah(quad: ParamQuad) -> LimitReport:
@@ -625,7 +627,7 @@ def limit_trig_to_qracah(quad: ParamQuad) -> LimitReport:
         res.append(diff / scale)
     # every factor of the coefficients involves either a t-free ratio or
     # a product of two scaled parameters, so the residual decays as t^2
-    return LimitReport(LimitKind.TRIG_TO_QRACAH, tuple(res), order=2)
+    return LimitReport(tuple(res), order=2)
 
 
 def limit_trig_to_qkraw(
@@ -656,7 +658,7 @@ def limit_trig_to_qkraw(
         quad = ParamQuad(a * s, b * s, cs, d, N, ctx)
         val = (q**k * d / (b * s)) ** (N - l) * R_explicit(quad).entries[k, l]
         res.append(abs(val - target) / max(abs(target), 1e-300))
-    return LimitReport(LimitKind.TRIG_TO_QKRAW, tuple(res))
+    return LimitReport(tuple(res))
 
 
 def limit_ell_to_trig(quad: ParamQuad) -> LimitReport:
@@ -682,7 +684,7 @@ def limit_ell_to_trig(quad: ParamQuad) -> LimitReport:
         quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx.with_nome(1e-300)
     )
     extra = float(np.abs(R_explicit(tiny).entries - base).max() / scale)
-    return LimitReport(LimitKind.ELL_TO_TRIG, tuple(res), extra_residual=extra)
+    return LimitReport(tuple(res), extra_residual=extra)
 
 
 # -- statistical-mechanics normalization --------------------------------------
@@ -759,17 +761,18 @@ def sl2_compose(A1, A2) -> tuple:
     )
 
 
-def krawtchouk_addition_sides(N: int, A1, A2):
-    """Both sides of the group-law factorization of Krawtchouk matrices.
+def krawtchouk_addition_sides(N: int, A1, A2) -> tuple:
+    """The three Krawtchouk matrices of the group-law factorization.
 
     The basis attached to A1, expanded over the one attached to A2 and
     then over plain monomials, must reproduce its direct expansion:
-    T(A1) == T(A1 A2^{-1}) T(A2).  Returns (lhs, rhs).
+    T(A1) == T(A1 A2^{-1}) T(A2).  Returns (T(A1), T(A1 A2^{-1}), T(A2)).
     """
-    lhs = krawtchouk_matrix(N, *A1)
-    bridge = krawtchouk_matrix(N, *sl2_compose(A1, sl2_inverse(A2)))
-    rhs = bridge @ krawtchouk_matrix(N, *A2)
-    return lhs, rhs
+    return (
+        krawtchouk_matrix(N, *A1),
+        krawtchouk_matrix(N, *sl2_compose(A1, sl2_inverse(A2))),
+        krawtchouk_matrix(N, *A2),
+    )
 
 
 # -- exact path combinatorics --------------------------------------------------

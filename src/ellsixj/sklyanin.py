@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisPair, expand_by_solve, xi_from_x
+from .basis import BasisPair, expand_by_solve, h_pair_xi, xi_from_x
 from .context import EllipticContext
 from .errors import DomainError, EvaluationPointError
 from . import scalar
@@ -76,20 +76,6 @@ def _relative_gap(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def _h_product(lam: complex, mu: complex, k: int, N: int, ctx: EllipticContext):
-    """h_k(x; lam) h_{N-k}(x; mu) as a function of xi."""
-
-    def g(xi: complex) -> complex:
-        return (
-            scalar.elliptic_pochhammer(lam * xi, k, ctx)
-            * scalar.elliptic_pochhammer(lam / xi, k, ctx)
-            * scalar.elliptic_pochhammer(mu * xi, N - k, ctx)
-            * scalar.elliptic_pochhammer(mu / xi, N - k, ctx)
-        )
-
-    return g
-
-
 def _sample_points(N: int) -> list:
     n = N + 3
     return [
@@ -110,8 +96,8 @@ def eigenrelation_check(
         raise DomainError("need 0 <= k <= N")
     op = DiffOpSpec.three(a, b, c, N, ctx)
     q = ctx.q
-    lhs_in = _h_product(ctx.q_half * a, ctx.q_half * b, k, N, ctx)
-    rhs_base = _h_product(a, b, k, N, ctx)
+    lhs_in = h_pair_xi(ctx.q_half * a, ctx.q_half * b, k, N, ctx)
+    rhs_base = h_pair_xi(a, b, k, N, ctx)
     mult = (
         q ** (-N)
         / (a * b * c)
@@ -139,7 +125,7 @@ def operator_matrix(
     def image(g):
         return lambda x: apply_delta(op, g, xi_from_x(x))
 
-    images = [image(_h_product(lam, mu, k, N, ctx)) for k in range(N + 1)]
+    images = [image(h_pair_xi(lam, mu, k, N, ctx)) for k in range(N + 1)]
     return expand_by_solve(images, target, ctx).T
 
 
@@ -189,7 +175,7 @@ def gevp_check(
     residuals = []
     lambdas = []
     for k in range(N + 1):
-        ek = _h_product(a, b, k, N, ctx)
+        ek = h_pair_xi(a, b, k, N, ctx)
         lam_num = scalar.thetas(ctx, q**k * ap * c, q ** (N - k) * bp * c)
         lam_den = scalar.thetas(ctx, q**k * ap * d2, q ** (N - k) * bp * d2)
         lam = (d2 / c) * lam_num / lam_den
@@ -209,7 +195,7 @@ def gevp_check(
                 op3, lambda z: apply_delta(op1, ek, z), xi_from_x(x)
             )
 
-        images = [y_image(_h_product(a, b, k, N, ctx)) for k in range(N + 1)]
+        images = [y_image(h_pair_xi(a, b, k, N, ctx)) for k in range(N + 1)]
         off = off_band_mass(expand_by_solve(images, BasisPair(a, b, N), ctx).T)
     return GevpReport(tuple(residuals), tuple(lambdas), off)
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .context import EllipticContext, make_context
+from .context import make_context
 from .errors import DomainError, SingularParameterError
 from .series import eval_W, w_spec
-from .sixj import ParamQuad, R_explicit
+from .sixj import ParamQuad, R_explicit, entry_series
 from . import scalar
 
 #: relative slack when validating the two Wilson parameter constraints
@@ -69,8 +69,8 @@ def wilson_r(n: int, z: complex, wp: WilsonParams) -> complex:
     very-well-poised series on base point a/e.
     """
     a, b, c, d, e, f, q = wp.a, wp.b, wp.c, wp.d, wp.e, wp.f, wp.q
-    if n < 0:
-        raise DomainError("need n >= 0")
+    if not 0 <= n <= wp.N:
+        raise DomainError("need 0 <= n <= N")
     num = scalar.qpochs(q, n, a * b, a * c, a * d, 1 / (a * f))
     den = scalar.qpochs(q, n, a * q / e)
     if abs(den) < 1e-280:
@@ -134,39 +134,27 @@ def mu(k: int, quad: ParamQuad) -> complex:
 
 
 def rational_R(n: int, k: int, quad: ParamQuad) -> complex:
-    """R_n at the k-th grid point, as a very-well-poised series."""
+    """R_n at the k-th grid point: the series of matrix entry (n, k)."""
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
+    if quad.ctx.p != 0:
+        raise DomainError("the rational functions have no nome")
     q = quad.ctx.q
     pref = scalar.qpochs(
         q, n, q ** (-N), a * c, q ** (1 - N) / (b * d), a / c
     ) / scalar.qpochs(q, n, q ** (1 - N) * c / b)
-    shared = (q ** (n - N) * a / b, q ** (k - N) * c / d, c * d,
-              q ** (1 - N) / (a * b), c * q / b)
-    if n <= k:
-        bs = (q ** (-k), *shared, q ** (-n))
-        terms = n
-    else:
-        bs = (q ** (-n), *shared, q ** (-k))
-        terms = k
-    return pref * eval_W(w_spec(q ** (-N) * c / b, bs, q, q, terms))
+    return pref * entry_series(quad, n, k)
 
 
 def rational_S(m: int, k: int, quad: ParamQuad) -> complex:
-    """S_m at the k-th grid point, as a very-well-poised series."""
+    """S_m at the k-th grid point: the series of entry (k, m) of (c, d, a, b)."""
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
+    if quad.ctx.p != 0:
+        raise DomainError("the rational functions have no nome")
     q = quad.ctx.q
     pref = scalar.qpochs(
         q, m, q ** (-N), a * c, q ** (1 - N) / (b * d), d / b
     ) / scalar.qpochs(q, m, q ** (1 - N) * a / d)
-    shared = (q ** (m - N) * a / b, q ** (k - N) * c / d, a * b,
-              q ** (1 - N) / (c * d), a * q / d)
-    if m <= k:
-        bs = (q ** (-k), *shared, q ** (-m))
-        terms = m
-    else:
-        bs = (q ** (-m), *shared, q ** (-k))
-        terms = k
-    return pref * eval_W(w_spec(q ** (-N) * a / d, bs, q, q, terms))
+    return pref * entry_series(ParamQuad(c, d, a, b, N, quad.ctx), k, m)
 
 
 def rational_R_from_matrix(n: int, k: int, quad: ParamQuad, row_entry: complex) -> complex:

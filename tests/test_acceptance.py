@@ -5,11 +5,9 @@ worst observed residual so a failing run pinpoints the broken identity.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from ellsixj import scalar
 from ellsixj.basis import BasisPair, basis_valid

@@ -12,6 +12,16 @@ from ellsixj import cli
 from ellsixj.cli import parse_complex, run_command
 from ellsixj.harness import LEVEL_TOL, Level
 from ellsixj.context import make_context
+from ellsixj.series import (
+    eval_V12,
+    eval_W,
+    eval_rFs,
+    eval_rphi_s,
+    f_spec,
+    phi_spec,
+    v12_spec,
+    w_spec,
+)
 from ellsixj.sixj import ParamQuad, R_explicit
 
 
@@ -37,13 +47,40 @@ def test_theta_verb(capsys):
 
 
 def test_series_verb(capsys):
-    code, out, _ = _run(
-        capsys, "series", "--family", "phi", "--top", "0.9", "--top", "16",
-        "--bottom", "0.55", "--q", "0.25", "--z", "0.3", "--terms", "2",
+    # V12 parameters balanced as a^3 q^(n+2) = b1 ... b6, with a = 1.1, q = 0.5
+    b6 = 1.1**3 * 0.5**3 / (0.5 * 0.7 * 1.2 * 1.3 * 0.9)
+    v12_bs = (0.5, 0.7, 1.2, 1.3, 0.9, b6, 2.0)
+    cases = {
+        "F": (["--top", "0.5", "--top", "-2", "--bottom", "1.5", "--z", "0.3"],
+              eval_rFs(f_spec((0.5, -2), (1.5,), 0.3, 2))),
+        "phi": (["--top", "0.9", "--top", "16", "--bottom", "0.55", "--q", "0.25",
+                 "--z", "0.3"],
+                eval_rphi_s(phi_spec((0.9, 16), (0.55,), 0.25, 0.3, 2))),
+        "W": (["--a", "1.1", "--b", "0.8", "--b", "4", "--z", "0.3"],
+              eval_W(w_spec(1.1, (0.8, 4), 0.5, 0.3, 2))),
+        "V12": (["--a", "1.1", *[o for b in v12_bs for o in ("--b", repr(b))],
+                 "--p", "0.1"],
+                eval_V12(v12_spec(1.1, v12_bs, 0.5, 0.1, 1))),
+    }
+    for family, (opts, want) in cases.items():
+        terms = "1" if family == "V12" else "2"
+        code, out, _ = _run(
+            capsys, "series", "--family", family, *opts, "--terms", terms
+        )
+        assert code == 0, family
+        assert complex(*json.loads(out)["value"]) == want, family
+    # each family rejects an option it does not read, and W and V12 need --a
+    rejected = (
+        ["F", "--top", "0.5", "--top", "-2", "--terms", "2", "--a", "7"],
+        ["phi", "--top", "16", "--q", "0.25", "--terms", "2", "--p", "0.2"],
+        ["W", "--a", "1.1", "--b", "4", "--terms", "2", "--bottom", "1.5"],
+        ["V12", *cases["V12"][0], "--terms", "1", "--z", "0.3"],
+        ["W", "--b", "4", "--terms", "2"],
     )
-    assert code == 0
-    val = json.loads(out)["value"]
-    assert np.isfinite(val[0]) and np.isfinite(val[1])
+    for argv in rejected:
+        code, out, err = _run(capsys, "series", "--family", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1, argv
 
 
 def test_sixj_csv_round_trips_matrix_entries(capsys):
@@ -176,6 +213,11 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = _run(capsys, *wilson, "--k", k)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+    # and so must the degree: the last --n given replaces the first
+    for n in ("3", "-1"):
+        code, out, err = _run(capsys, *wilson, "--n", n)
+        assert code == 2 and out == ""
+        assert err == "error: need 0 <= n <= N\n"
 
 
 def test_verbs_reject_options_they_do_not_read(capsys):

@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from ellsixj import basis, harness, sixj
@@ -16,7 +15,6 @@ from ellsixj.harness import (
     Level,
     SampleConfig,
     Shape,
-    VerifyReport,
     aggregate_json,
     report_dict,
     report_json,
@@ -140,6 +138,21 @@ def test_failures_collect_iff_above_tolerance():
     assert len(rep.failures) == rep.trials
     assert rep.max_residual == 1e300
     assert all(f.residual == 1e300 for f in rep.failures)
+
+
+def test_a_raising_trial_fails_with_the_error_recorded():
+    def trial(rng, level):
+        raise DomainError("boom")
+
+    cfg = SampleConfig(seed=3, trials=3)
+    rep = harness._run("raising", cfg, (Level.TRIG,), trial)
+    assert len(rep.failures) == rep.trials
+    want = {"error": "DomainError: boom", "level": "trig"}
+    for f in rep.failures:
+        assert f.residual == 1e300 and f.params == want
+    doc = json.loads(report_json(rep))
+    assert doc["pass"] is False and doc["max_residual"] == 1e300
+    assert [f["params"] for f in doc["failures"]] == [want] * rep.trials
 
 
 def test_default_tolerance_tracks_the_loosest_level():

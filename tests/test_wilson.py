@@ -115,6 +115,15 @@ def test_param_map_rejects_nome(ell_ctx):
         quad_to_wilson(quad)
 
 
+def test_rational_functions_reject_nome(ell_ctx):
+    # the prefactors are trigonometric; an elliptic series under them
+    # would be neither function
+    quad = ParamQuad(0.9 + 0.2j, 1.3, 0.8 - 0.3j, 1.1 + 0.4j, 2, ell_ctx)
+    for fn in (rational_R, rational_S):
+        with pytest.raises(DomainError):
+            fn(1, 1, quad)
+
+
 def test_addition_formula_three_ways():
     wp = _wp(58, N=3)
     s, t = 1.13 + 0.21j, 0.87 - 0.34j
