@@ -56,12 +56,16 @@ class BasisPair:
     N: int
 
 
-def h_value(x: complex, a: complex, k: int, ctx: EllipticContext) -> complex:
-    """h_k(x; a), evaluated through either root of xi + 1/xi = x."""
-    xi = xi_from_x(x)
+def _h_xi(xi: complex, a: complex, k: int, ctx: EllipticContext) -> complex:
+    """h_k(x; a) at x = xi + 1/xi."""
     return scalar.elliptic_pochhammer(a * xi, k, ctx) * scalar.elliptic_pochhammer(
         a / xi, k, ctx
     )
+
+
+def h_value(x: complex, a: complex, k: int, ctx: EllipticContext) -> complex:
+    """h_k(x; a), evaluated through either root of xi + 1/xi = x."""
+    return _h_xi(xi_from_x(x), a, k, ctx)
 
 
 def h_pair_xi(
@@ -69,14 +73,7 @@ def h_pair_xi(
 ) -> Callable[[complex], complex]:
     """xi -> h_k(x; a) h_{N-k}(x; b) at x = xi + 1/xi."""
 
-    def g(xi: complex) -> complex:
-        ha = scalar.elliptic_pochhammer(a * xi, k, ctx)
-        ha *= scalar.elliptic_pochhammer(a / xi, k, ctx)
-        hb = scalar.elliptic_pochhammer(b * xi, N - k, ctx)
-        hb *= scalar.elliptic_pochhammer(b / xi, N - k, ctx)
-        return ha * hb
-
-    return g
+    return lambda xi: _h_xi(xi, a, k, ctx) * _h_xi(xi, b, N - k, ctx)
 
 
 def h_pair_fn(

@@ -86,8 +86,9 @@ def _reject_unread(args, table: dict, key: str, what: str) -> bool:
     Returns True if there are any.  An option counts as given unless its
     value is None or an empty list.
     """
-    names = dict.fromkeys(n for reads in table.values() for n in reads)
-    given = [n for n in names if getattr(args, n) not in (None, [])]
+    # vars(args) lists the options in the order the parser declares them
+    names = {n for reads in table.values() for n in reads}
+    given = [n for n in vars(args) if n in names and getattr(args, n) not in (None, [])]
     unread = [f"--{n}" for n in given if n not in table[key]]
     if unread:
         print(f"error: {what} {key} does not read {', '.join(unread)}", file=sys.stderr)
@@ -179,7 +180,9 @@ def run_command(argv) -> int:
                 print(f"error: family {family} needs --a", file=sys.stderr)
                 return 2
             q = args.q if args.q is not None else complex(DEFAULT_Q)
+            p = args.p if args.p is not None else 0j
             z = args.z if args.z is not None else 1.0 + 0j
+            ctx = make_context(q, p=p)
             if family == "F":
                 val = eval_rFs(f_spec(args.top, args.bottom, z, args.terms))
             elif family == "phi":
@@ -187,8 +190,7 @@ def run_command(argv) -> int:
             elif family == "W":
                 val = eval_W(w_spec(args.a, args.b, q, z, args.terms))
             else:
-                p = args.p if args.p is not None else 0j
-                val = eval_V12(v12_spec(args.a, args.b, q, p, args.terms))
+                val = eval_V12(v12_spec(args.a, args.b, q, p, args.terms), ctx)
             print(_json_fragment({"family": family, "value": val}))
             return 0
 

@@ -172,15 +172,6 @@ def eval_V12(spec: SeriesSpec, ctx: EllipticContext | None = None) -> complex:
         raise SingularParameterError(str(exc)) from None
 
 
-def eval_series(spec: SeriesSpec, ctx: EllipticContext | None = None) -> complex:
-    return {
-        "F": eval_rFs,
-        "PHI": eval_rphi_s,
-        "W": eval_W,
-        "V12": lambda s: eval_V12(s, ctx),
-    }[spec.family](spec)
-
-
 def series_terms(spec: SeriesSpec, ctx: EllipticContext | None = None) -> Iterator[complex]:
     """Individual terms, each built from scratch with O(k) Pochhammers.
 

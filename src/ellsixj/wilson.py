@@ -128,6 +128,11 @@ def wilson_biorth_sum(n: int, m: int, wp: WilsonParams) -> tuple:
 # -- rational picture ----------------------------------------------------------
 
 
+def _require_trig(quad: ParamQuad) -> None:
+    if quad.ctx.p != 0:
+        raise DomainError("the Wilson picture has no nome")
+
+
 def mu(k: int, quad: ParamQuad) -> complex:
     q = quad.ctx.q
     return q ** (-k) + q ** (k - quad.N) * quad.c / quad.d
@@ -136,8 +141,7 @@ def mu(k: int, quad: ParamQuad) -> complex:
 def rational_R(n: int, k: int, quad: ParamQuad) -> complex:
     """R_n at the k-th grid point: the series of matrix entry (n, k)."""
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-    if quad.ctx.p != 0:
-        raise DomainError("the rational functions have no nome")
+    _require_trig(quad)
     q = quad.ctx.q
     pref = scalar.qpochs(
         q, n, q ** (-N), a * c, q ** (1 - N) / (b * d), a / c
@@ -148,8 +152,7 @@ def rational_R(n: int, k: int, quad: ParamQuad) -> complex:
 def rational_S(m: int, k: int, quad: ParamQuad) -> complex:
     """S_m at the k-th grid point: the series of entry (k, m) of (c, d, a, b)."""
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-    if quad.ctx.p != 0:
-        raise DomainError("the rational functions have no nome")
+    _require_trig(quad)
     q = quad.ctx.q
     pref = scalar.qpochs(
         q, m, q ** (-N), a * c, q ** (1 - N) / (b * d), d / b
@@ -246,8 +249,7 @@ def quad_to_wilson(quad: ParamQuad) -> WilsonParams:
     round trip closes up to a global sign that none of the evaluated
     quantities depend on.
     """
-    if quad.ctx.p != 0:
-        raise DomainError("the Wilson picture has no nome")
+    _require_trig(quad)
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
     q, qh = quad.ctx.q, quad.ctx.q_half
     s = cmath.sqrt(c / d)

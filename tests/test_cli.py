@@ -76,6 +76,10 @@ def test_series_verb(capsys):
         ["W", "--a", "1.1", "--b", "4", "--terms", "2", "--bottom", "1.5"],
         ["V12", *cases["V12"][0], "--terms", "1", "--z", "0.3"],
         ["W", "--b", "4", "--terms", "2"],
+        # q = 0 is outside the supported regime for every family that reads q
+        ["phi", "--top", "0.9", "--top", "16", "--bottom", "0.55", "--q", "0",
+         "--terms", "2"],
+        ["W", "--a", "1.1", "--b", "4", "--q", "0", "--terms", "2"],
     )
     for argv in rejected:
         code, out, err = _run(capsys, "series", "--family", *argv)
@@ -244,6 +248,11 @@ def test_verbs_reject_options_they_do_not_read(capsys):
     ):
         code, out, _ = _run(capsys, *argv)
         assert code == 2 and out == ""
+    # the unread options are named in the order the parser declares them
+    code, _, err = _run(capsys, "sixj", *quad, "--level", "krawtchouk",
+                        "--q", "0.5", "--method", "explicit")
+    assert code == 2
+    assert err == "error: level krawtchouk does not read --method, --q\n"
     # valid Wilson parameters, so only giving both --z and --k is at fault
     wilson_ok = ["wilson", "--n", "1", "--a", "1.2", "--b", "2.314814814814815",
                  "--c", "1.1", "--d", "0.9", "--e", "1.3",
