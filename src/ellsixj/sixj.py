@@ -15,6 +15,10 @@ computed by four independent routes:
   PATHS       weighted lattice-path sum,
   SOLVE       dense collocation against the definition.
 
+EXPLICIT and PATHS read their theta values from rows theta(u q^m; p),
+one per base u, built once per matrix: O(N) theta values where evaluating
+each factor afresh took O(N^3).  EXPLICIT's series still costs O(N^3).
+
 The degenerations of R (q-Racah and Krawtchouk coefficient matrices), the
 parameter symmetries, the limit transitions between levels, and the
 statistical-mechanics normalization live here too.
@@ -144,20 +148,17 @@ def qracah_C(k: int, l: int, quad: ParamQuad) -> complex:
         raise DomainError("the q-Racah level has no nome")
     if not (0 <= k <= N and 0 <= l <= N):
         raise DomainError("need 0 <= k, l <= N")
-    q = quad.ctx.q
+    ctx = quad.ctx
+    q = ctx.q
     # q^(l(l-N)) rides as one factor q^(l-N) on each factor of
     # (q^(1-N) b/d)_l, which the interleaving pairs with (q^(l-N) c/d)_l
     shift = q ** (l - N)
-    num = [f * shift for f in _efactors(quad.ctx, [(q ** (1 - N) * b / d, l)])]
-    num += _efactors(quad.ctx, [
-        (q ** (1 - N) * b / c, N - l),
-        (q ** (1 - k) * a / c, k),
-    ])
-    den = _efactors(quad.ctx, [
-        (q ** (l - N) * c / d, l),
-        (q ** (-l) * d / c, N - l),
-        (q ** (1 - N) * b / c, k),
-    ])
+    num = [f * shift for f in _theta_row(q ** (1 - N) * b / d, 0, l, ctx)]
+    num += _theta_row(q ** (1 - N) * b / c, 0, N - l, ctx)
+    num += _theta_row(q ** (1 - k) * a / c, 0, k, ctx)
+    den = _theta_row(q ** (l - N) * c / d, 0, l, ctx)
+    den += _theta_row(q ** (-l) * d / c, 0, N - l, ctx)
+    den += _theta_row(q ** (1 - N) * b / c, 0, k, ctx)
     pref = scalar.q_binomial(N, l, q) * _balanced_ratio(
         num, den, "q-Racah prefactor"
     )
@@ -210,7 +211,7 @@ def gbt_row(
               (a/b, q^k a b; q, p)_{N-k}
               / ((q^(k-N) b/c; q, p)_k (q^(-k) c/b; q, p)_{N-k} (b c; q, p)_N).
 
-    Every Pochhammer is a slice of one theta list per base, so a row costs
+    Every Pochhammer is a slice of one theta row per base, so a row costs
     O(N) theta values.  q^(k(k-N)) rides along as one factor q^(k-N) on each
     factor of (a/c)_k, which keeps the running product near its final size
     where the power alone would overflow.
@@ -222,10 +223,10 @@ def gbt_row(
         )
     q = ctx.q
     ac, acq, ab, abq, bc, qq = (
-        _efactors(ctx, [(base, N)]) for base in (a / c, a * c, a / b, a * b, b * c, q)
+        _theta_row(base, 0, N, ctx) for base in (a / c, a * c, a / b, a * b, b * c, q)
     )
-    bc_lo = _efactors(ctx, [(q ** (-N) * b / c, 2 * N)])
-    cb_lo = _efactors(ctx, [(q ** (-N) * c / b, 2 * N)])
+    bc_lo = _theta_row(q ** (-N) * b / c, 0, 2 * N, ctx)
+    cb_lo = _theta_row(q ** (-N) * c / b, 0, 2 * N, ctx)
     out = np.empty(N + 1, dtype=complex)
     for k in range(N + 1):
         shift = q ** (k - N)
@@ -238,15 +239,30 @@ def gbt_row(
 # -- prefactor plumbing ------------------------------------------------------
 
 
-def _efactors(ctx: EllipticContext, pochs) -> list:
-    """Individual theta factors of a list of (a, length) pairs."""
-    out = []
-    for a, n in pochs:
-        aj = a
-        for _ in range(n):
-            out.append(scalar.theta(aj, ctx))
-            aj *= ctx.q
-    return out
+def _theta_row(u: complex, lo: int, hi: int, ctx: EllipticContext) -> list:
+    """theta(u q^m; p) for m = lo, ..., hi - 1, where lo <= 0.
+
+    A Pochhammer (u q^j; q, p)_n is the slice [j - lo : j - lo + n], so a
+    formula builds one row per base u and slices it.  From m = 0 up each
+    argument is the previous one times q, as in (u; q, p)_hi itself.  Below
+    0 each takes q^m as one power: there |u q^m| grows along the row and
+    theta(x) ~ -x, so rounding that drifted along a chain of products would
+    pass into the theta value in full.
+    """
+    q = ctx.q
+    row = [scalar.theta(u * q**m, ctx) for m in range(lo, 0)]
+    x = u
+    for _ in range(hi):
+        row.append(scalar.theta(x, ctx))
+        x *= q
+    return row
+
+
+def _require_nonzero(quad: ParamQuad, names: str, route: Route) -> None:
+    """A route that divides by a parameter rejects it at 0 (trig level)."""
+    for name in names:
+        if getattr(quad, name) == 0:
+            raise DomainError(f"route {route.value} needs {name} != 0")
 
 
 def _balanced_ratio(num: list, den: list, what: str) -> complex:
@@ -270,32 +286,48 @@ def _balanced_ratio(num: list, den: list, what: str) -> complex:
 # -- route EXPLICIT ----------------------------------------------------------
 
 
-def _r_entry_explicit(quad: ParamQuad, k: int, l: int) -> complex:
+def _explicit_rows(quad: ParamQuad) -> tuple:
+    """The theta rows every EXPLICIT prefactor of `quad` reads.
+
+    Rows of theta(u q^m; p): m = 0 .. N-1 for u in b/d, ac, a/c, bd, b/c,
+    bc, cd, q, and m = 1-N .. N-1 for u in c/d, d/c; 12N - 2 theta values.
+    """
+    _require_nonzero(quad, "abcd", Route.EXPLICIT)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
     q = ctx.q
+    return (
+        *(_theta_row(u, 0, N, ctx) for u in (b / d, a * c, a / c, b * d, b / c, b * c, c * d, q)),
+        *(_theta_row(u, 1 - N, N, ctx) for u in (c / d, d / c)),
+    )
+
+
+def _r_entry_explicit(quad: ParamQuad, rows: tuple, k: int, l: int) -> complex:
+    b_d, ac, a_c, bd, b_c, bc, cd, qq, c_d, d_c = rows
+    N = quad.N
     # q^(l(l-N)) rides as one factor q^(l-N) on each factor of (b/d)_l,
     # which the interleaving pairs with (q^(l-N) c/d)_l; the power alone
     # overflows (at N = 64 for q = 0.41)
-    shift = q ** (l - N)
-    num = [f * shift for f in _efactors(ctx, [(b / d, l)])]
-    num += _efactors(ctx, [
-        (a * c, k),
-        (a / c, k),
-        (q ** (N - l) * b * d, l),
-        (b / c, N - k),
-        (b / c, N - l),
-        (b * c, N - k),
-        (q, N),  # binomial numerator
-    ])
-    den = _efactors(ctx, [
-        (q ** (l - N) * c / d, l),
-        (q ** (-l) * d / c, N - l),
-        (c * d, N),
-        (b / c, N),
-        (b * c, l),
-        (q, l),
-        (q, N - l),
-    ])
+    shift = quad.ctx.q ** (l - N)
+    num = (
+        [f * shift for f in b_d[:l]]
+        + ac[:k]
+        + a_c[:k]
+        + bd[N - l :]  # (q^(N-l) b d)_l
+        + b_c[: N - k]
+        + b_c[: N - l]
+        + bc[: N - k]
+        + qq  # binomial numerator
+    )
+    # c_d and d_c start at m = 1 - N: (q^(l-N) c/d)_l and (q^(-l) d/c)_(N-l)
+    den = (
+        c_d[l - 1 : 2 * l - 1]
+        + d_c[N - l - 1 : 2 * (N - l) - 1]
+        + cd
+        + b_c
+        + bc[:l]
+        + qq[:l]
+        + qq[: N - l]
+    )
     pref = _balanced_ratio(num, den, "entry prefactor")
     return pref * entry_series(quad, k, l)
 
@@ -323,18 +355,21 @@ def entry_series(quad: ParamQuad, k: int, l: int) -> complex:
 def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     """Full coefficient matrix from the closed form.
 
+    The prefactors are slices of theta rows built once for the matrix
+    (12N - 2 theta values); the entry series still costs O(N^3) thetas.
     Individual entries whose prefactor or series is resonant (while the
     basis itself is fine) are taken from R_solve and reported in
     `fallback`.
     """
     _require_valid(quad)
+    rows = _explicit_rows(quad)
     N = quad.N
     ent = np.empty((N + 1, N + 1), dtype=complex)
     flagged = []
     for k in range(N + 1):
         for l in range(N + 1):
             try:
-                ent[k, l] = _r_entry_explicit(quad, k, l)
+                ent[k, l] = _r_entry_explicit(quad, rows, k, l)
             except SingularParameterError:
                 flagged.append((k, l))
     if flagged:
@@ -357,6 +392,7 @@ def R_double_sum(quad: ParamQuad) -> CoeffMatrix:
     theta values.
     """
     _require_valid(quad)
+    _require_nonzero(quad, "bcd", Route.RECURRENCE)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
     q = ctx.q
     # Python complex arithmetic: an overflow here reaches CoeffMatrix as
@@ -376,24 +412,50 @@ def R_double_sum(quad: ParamQuad) -> CoeffMatrix:
 # -- route PATHS -------------------------------------------------------------
 
 
-def _step_weight(quad, early: bool, right: bool, x: int, y: int, k: int) -> complex:
-    a, b, c, d, ctx = quad.a, quad.b, quad.c, quad.d, quad.ctx
-    q = ctx.q
-    if right:
-        den = scalar.thetas(ctx, q ** (x + y) * c * d, q ** (x - y) * c / d)
-        if early:
-            num = scalar.thetas(ctx, q ** (x + 2 * y) * a * d, q**x * a / d)
+def _step_rows(quad: ParamQuad) -> tuple:
+    """The theta rows every PATHS step weight of `quad` reads.
+
+    A step leaves a corner (x, y) with x + y <= N - 1 and reads
+    theta(u q^m; p) for eleven bases u: m = 0 .. N-1 for cd, a/d, a/c,
+    m = 0 .. 2N-2 for ad, bd, ac, bc, and m = 1-N .. N-1 for c/d, d/c,
+    b/d, b/c; 19N - 8 theta values.
+    """
+    _require_nonzero(quad, "cd", Route.PATHS)
+    a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
+    return (
+        *(_theta_row(u, 0, N, ctx) for u in (c * d, a / d, a / c)),
+        *(_theta_row(u, 0, 2 * N - 1, ctx) for u in (a * d, b * d, a * c, b * c)),
+        *(_theta_row(u, 1 - N, N, ctx) for u in (c / d, d / c, b / d, b / c)),
+    )
+
+
+def _step_weight(rows: tuple, k: int):
+    """Weight of the step leaving corner (x, y) in row k, as step(x, y, right).
+
+    The first k steps carry the `early` weights (parameter a), the rest
+    the `late` ones (parameter b, offset by q^-k).
+    """
+    cd, a_d, a_c, ad, bd, ac, bc, c_d, d_c, b_d, b_c = rows
+    n = len(cd) - 1  # rows over signed m hold m at index m + n
+
+    def step(x: int, y: int, right: bool) -> complex:
+        if right:
+            den = cd[x + y] * c_d[x - y + n]
+            if x + y < k:
+                num = ad[x + 2 * y] * a_d[x]
+            else:
+                num = bd[x + 2 * y - k] * b_d[x - k + n]
         else:
-            num = scalar.thetas(ctx, q ** (x + 2 * y - k) * b * d, q ** (x - k) * b / d)
-    else:
-        den = scalar.thetas(ctx, q ** (x + y) * c * d, q ** (y - x) * d / c)
-        if early:
-            num = scalar.thetas(ctx, q ** (2 * x + y) * a * c, q**y * a / c)
-        else:
-            num = scalar.thetas(ctx, q ** (2 * x + y - k) * b * c, q ** (y - k) * b / c)
-    if abs(den) < kernels.SINGULAR_EPS:
-        raise SingularParameterError("path step denominator vanishes")
-    return num / den
+            den = cd[x + y] * d_c[y - x + n]
+            if x + y < k:
+                num = ac[2 * x + y] * a_c[y]
+            else:
+                num = bc[2 * x + y - k] * b_c[y - k + n]
+        if abs(den) < kernels.SINGULAR_EPS:
+            raise SingularParameterError("path step denominator vanishes")
+        return num / den
+
+    return step
 
 
 def _path_sums(N: int, step) -> list:
@@ -416,18 +478,17 @@ def _path_sums(N: int, step) -> list:
 def R_paths(quad: ParamQuad) -> CoeffMatrix:
     """Entry (k, l) as a sum over up-right paths (0,0) -> (l, N-l).
 
-    The first k of the N steps carry the `early` weights (parameter a),
-    the rest the `late` ones (parameter b, offset by q^-k).  Weights are
-    evaluated at the step's starting corner (x, y), so row k is one
-    lattice sweep of _path_sums: O(N^2) step weights per row.
+    Weights are evaluated at the step's starting corner (x, y), so row k
+    is one lattice sweep of _path_sums: O(N^2) step weights per row, each
+    a product of four theta values looked up in rows built once for the
+    matrix (19N - 8 theta values, then O(N^3) products).
     """
     _require_valid(quad)
     N = quad.N
+    rows = _step_rows(quad)
     ent = np.empty((N + 1, N + 1), dtype=complex)
     for k in range(N + 1):
-        ent[k] = _path_sums(
-            N, lambda x, y, right: _step_weight(quad, x + y < k, right, x, y, k)
-        )
+        ent[k] = _path_sums(N, _step_weight(rows, k))
     return CoeffMatrix(ent, Route.PATHS, quad)
 
 
@@ -516,18 +577,24 @@ def multiconv_rhs(ks, l: int, Ms, quad: ParamQuad, sigma, tau) -> complex:
         sum(Ms[j] - ks[j] for j in range(n) if tau[j] < tau[i]) for i in range(n)
     ]
 
+    # theta rows of each sub-quad, built once per call
+    subs = {}
+
     def entry(i: int, cpow: int, dpow: int, mi: int) -> complex:
-        sub = ParamQuad(
-            a * q ** kshift[i],
-            b * q ** mkshift[i],
-            c * q**cpow,
-            d * q**dpow,
-            Ms[i],
-            ctx,
-        )
-        _require_valid(sub)
+        if (i, cpow, dpow) not in subs:
+            sub = ParamQuad(
+                a * q ** kshift[i],
+                b * q ** mkshift[i],
+                c * q**cpow,
+                d * q**dpow,
+                Ms[i],
+                ctx,
+            )
+            _require_valid(sub)
+            subs[i, cpow, dpow] = sub, _explicit_rows(sub)
+        sub, rows = subs[i, cpow, dpow]
         try:
-            value = _r_entry_explicit(sub, ks[i], mi)
+            value = _r_entry_explicit(sub, rows, ks[i], mi)
         except SingularParameterError:
             return R_solve(sub).entries[ks[i], mi]
         if not cmath.isfinite(value):

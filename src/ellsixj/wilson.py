@@ -134,6 +134,7 @@ def _require_trig(quad: ParamQuad) -> None:
 
 
 def mu(k: int, quad: ParamQuad) -> complex:
+    _require_trig(quad)
     q = quad.ctx.q
     return q ** (-k) + q ** (k - quad.N) * quad.c / quad.d
 
@@ -200,6 +201,7 @@ def rational_S_from_matrix(m: int, k: int, quad: ParamQuad, back_entry: complex)
 
 def eto_weight(k: int, quad: ParamQuad) -> complex:
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
+    _require_trig(quad)
     q = quad.ctx.q
     head = (1 - q ** (2 * k - N) * c / d) / (1 - q ** (-N) * c / d)
     num = scalar.qpochs(
@@ -215,6 +217,7 @@ def eto_weight(k: int, quad: ParamQuad) -> complex:
 
 def eto_norm(n: int, quad: ParamQuad) -> complex:
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
+    _require_trig(quad)
     q = quad.ctx.q
     head = scalar.qpochs(q, N, b * a, b / a, d * c, d / c) / scalar.qpochs(
         q, N, b * c, b / c, d * a, d / a

@@ -208,6 +208,13 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = _run(capsys, *elliptic, *extra)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+    # a zero parameter the route divides by is named, not a traceback
+    zero_d = ["sixj", "--a", "1.1", "--b", "0.9", "--c", "1.2", "--d", "0",
+              "--N", "2", "--q", "0.45"]
+    code, out, err = _run(capsys, *zero_d)
+    assert code == 2 and out == ""
+    assert err == "error: route explicit needs d != 0\n"
+    assert _run(capsys, *zero_d, "--method", "solve")[0] == 0
     # a wilson grid index must lie in 0..N
     wilson = ["wilson", "--n", "1", "--a", "1.2", "--b", "2.314814814814815",
               "--c", "1.1", "--d", "0.9", "--e", "1.3",

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import draw_quad, rel
 from ellsixj import basis, scalar, sixj
+from ellsixj.backend import kernels
 from ellsixj.basis import h_value
 from ellsixj.context import make_context
 from ellsixj.errors import DomainError, IllConditionedError, SixjError
@@ -144,6 +145,64 @@ def test_non_finite_matrix_raises():
         for route in (Route.RECURRENCE, Route.PATHS, Route.EXPLICIT):
             with pytest.raises(DomainError, match="N = 20"):
                 R_matrix(quad, route)
+
+
+def test_zero_parameters_give_a_matrix_or_a_sixj_error(trig_ctx):
+    # a route that divides by the zero parameter names it; the others
+    # return the matrix of the definition
+    base = (0.9 + 0.2j, 1.3, 0.8 - 0.3j, 1.1 + 0.4j)
+    returns = {("a", Route.RECURRENCE), ("a", Route.PATHS), ("b", Route.PATHS)}
+    for i, name in enumerate("abcd"):
+        quad = ParamQuad(*base[:i], 0j, *base[i + 1 :], 3, trig_ctx)
+        solved = R_matrix(quad, Route.SOLVE).entries
+        for route in (Route.EXPLICIT, Route.RECURRENCE, Route.PATHS):
+            if (name, route) in returns:
+                assert rel(R_matrix(quad, route).entries, solved) < 1e-9
+            else:
+                with pytest.raises(DomainError, match=f"needs {name} != 0"):
+                    R_matrix(quad, route)
+
+
+def _count_theta(monkeypatch) -> list:
+    calls = [0]
+    real = kernels.theta
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "theta", counting)
+    return calls
+
+
+def test_explicit_prefactors_read_linear_theta_rows(monkeypatch):
+    # 12N - 2 theta values per matrix; only the entry series grows as N^3
+    calls = _count_theta(monkeypatch)
+    monkeypatch.setattr(sixj, "entry_series", lambda quad, k, l: 1.0)
+    for N in (1, 4, 9):
+        calls[0] = 0
+        R = R_explicit(draw_quad(36, N, Level.ELLIPTIC))
+        assert not R.fallback
+        assert calls[0] == 12 * N - 2
+
+
+def test_paths_reads_linear_theta_rows(monkeypatch):
+    # 19N - 8 theta values per matrix, then O(N^3) products
+    calls = _count_theta(monkeypatch)
+    for N in (1, 4, 9):
+        calls[0] = 0
+        R_paths(draw_quad(36, N, Level.ELLIPTIC))
+        assert calls[0] == 19 * N - 8
+
+
+def test_row_routes_match_recurrence_at_elliptic_N12():
+    # PATHS is the least accurate closed route: 3.1e-11 at seed 30 (its
+    # theta arguments reach |q|^(2-2N); see ROADMAP item 4)
+    for seed in range(30, 35):
+        quad = draw_quad(seed, 12, Level.ELLIPTIC)
+        want = R_double_sum(quad).entries
+        assert rel(R_explicit(quad).entries, want) < 1e-12
+        assert rel(R_paths(quad).entries, want) < 1e-10
 
 
 def test_param_quad_validation(ell_ctx):

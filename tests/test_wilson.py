@@ -124,6 +124,14 @@ def test_rational_functions_reject_nome(ell_ctx):
             fn(1, 1, quad)
 
 
+def test_weight_norm_and_grid_reject_nome(ell_ctx):
+    # they read only q, so at p != 0 they would return trigonometric values
+    quad = ParamQuad(0.9 + 0.2j, 1.3, 0.8 - 0.3j, 1.1 + 0.4j, 2, ell_ctx)
+    for fn in (eto_weight, eto_norm, mu):
+        with pytest.raises(DomainError):
+            fn(1, quad)
+
+
 def test_addition_formula_three_ways():
     wp = _wp(58, N=3)
     s, t = 1.13 + 0.21j, 0.87 - 0.34j
