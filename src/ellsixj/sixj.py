@@ -15,9 +15,9 @@ computed by four independent routes:
   PATHS       weighted lattice-path sum,
   SOLVE       dense collocation against the definition.
 
-EXPLICIT and PATHS read their theta values from rows theta(u q^m; p),
-one per base u, built once per matrix: O(N) theta values where evaluating
-each factor afresh took O(N^3).  EXPLICIT's series still costs O(N^3).
+EXPLICIT's prefactors and PATHS's step weights read their theta values
+from rows theta(u q^m; p), one per base u, built once per matrix: O(N)
+theta values a matrix.  EXPLICIT's series still costs O(N^3) of them.
 
 The degenerations of R (q-Racah and Krawtchouk coefficient matrices), the
 parameter symmetries, the limit transitions between levels, and the
@@ -294,9 +294,9 @@ def _explicit_rows(quad: ParamQuad) -> tuple:
     """
     _require_nonzero(quad, "abcd", Route.EXPLICIT)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
-    q = ctx.q
+    bases = (b / d, a * c, a / c, b * d, b / c, b * c, c * d, ctx.q)
     return (
-        *(_theta_row(u, 0, N, ctx) for u in (b / d, a * c, a / c, b * d, b / c, b * c, c * d, q)),
+        *(_theta_row(u, 0, N, ctx) for u in bases),
         *(_theta_row(u, 1 - N, N, ctx) for u in (c / d, d / c)),
     )
 
