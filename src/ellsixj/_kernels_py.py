@@ -62,6 +62,78 @@ def epoch(a: complex, q: complex, p: complex, k: int, nfac: int) -> complex:
     return acc
 
 
+def powers(x: complex, step: complex, n: int) -> list:
+    """x, x step, x step^2, ...: n values, each the previous one times step."""
+    out = []
+    for _ in range(n):
+        out.append(x)
+        x *= step
+    return out
+
+
+def theta_row(u: complex, xs: list, p: complex, nfac: int) -> list:
+    """theta(u x; p) for x in xs."""
+    return [theta(u * x, p, nfac) for x in xs]
+
+
+def vwp_rows(
+    a: complex, bs: tuple, q: complex, p: complex, n: int, nfac: int
+) -> tuple:
+    """The theta rows `vwp_rowsum` reads for a sum of n + 1 terms.
+
+    Returns (wp, num, den):
+      wp[j]     = theta(a q^(2j)) for j <= n, the argument chained by q q
+                  from a;
+      num[i][j] = theta(u q^j) for u in (a, *bs), j < n;
+      den[i][j] = theta(u q^j) for u in (q, *(a q / b for b in bs)), j < n;
+    with q^j chained by q from 1.  A caller that builds such rows itself
+    must form the arguments the same way to get the same bits.
+    """
+    for b in bs:
+        if b == 0:
+            raise ZeroDivisionError("well-poised parameter b = 0")
+    qk = powers(1.0 + 0.0j, q, n)
+    wp = [theta(x, p, nfac) for x in powers(a + 0.0j, q * q, n + 1)]
+    num = [theta_row(u, qk, p, nfac) for u in (a, *bs)]
+    den = [theta_row(u, qk, p, nfac) for u in (q, *(a * q / b for b in bs))]
+    return wp, num, den
+
+
+def vwp_rowsum(
+    th_a: complex, wp: list, num: list, den: list, z: complex, n: int
+) -> complex:
+    """The very-well-poised sum of `vwp_sum` over its theta rows.
+
+    th_a is theta(a; p); wp, num and den are laid out as `vwp_rows` returns
+    them, and may run past the terms read.  Term k + 1 is term k times
+    z * prod(num[.][k]) / prod(den[.][k]).  The well-poised factor is read
+    per term rather than chained, so a theta zero at an intermediate k
+    kills that term without poisoning the recurrence.
+    """
+    if abs(th_a) < SINGULAR_EPS:
+        raise ZeroDivisionError("well-poised leading factor theta(a) vanishes")
+    first, *rest = num
+    total = 0.0 + 0.0j
+    run = 1.0 + 0.0j  # z^k * (a,bs;q,p)_k / (q,aq/bs;q,p)_k
+    for k in range(n + 1):
+        total += run * wp[k] / th_a
+        if k == n:
+            break
+        top = first[k]
+        for row in rest:
+            top *= row[k]
+        bottom = 1.0 + 0.0j
+        for row in den:
+            f = row[k]
+            if abs(f) < SINGULAR_EPS:
+                raise ZeroDivisionError(
+                    f"denominator Pochhammer factor vanishes at term {k + 1}"
+                )
+            bottom *= f
+        run *= z * top / bottom
+    return total
+
+
 def vwp_sum(
     a: complex,
     bs: tuple,
@@ -78,41 +150,10 @@ def vwp_sum(
 
     At p == 0 this is the classical very-well-poised series of length
     len(bs) + 3 over len(bs) + 2; at p != 0 (with z == q) the elliptic one.
-    The well-poised factor is evaluated per term rather than chained, so a
-    theta zero at an intermediate k kills that term without poisoning the
-    recurrence.
+    It is `vwp_rowsum` over the rows `vwp_rows` builds for this one sum.
     """
     th_a = theta(a, p, nfac)
-    if abs(th_a) < SINGULAR_EPS:
-        raise ZeroDivisionError("well-poised leading factor theta(a) vanishes")
-    dens = [q]
-    for b in bs:
-        if b == 0:
-            raise ZeroDivisionError("well-poised parameter b = 0")
-        dens.append(a * q / b)
-    total = 0.0 + 0.0j
-    run = 1.0 + 0.0j  # z^k * (a,bs;q,p)_k / (q,aq/bs;q,p)_k
-    qk = 1.0 + 0.0j
-    aq2k = a + 0.0j
-    for k in range(n + 1):
-        total += run * theta(aq2k, p, nfac) / th_a
-        if k == n:
-            break
-        num = theta(a * qk, p, nfac)
-        for b in bs:
-            num *= theta(b * qk, p, nfac)
-        den = 1.0 + 0.0j
-        for d in dens:
-            f = theta(d * qk, p, nfac)
-            if abs(f) < SINGULAR_EPS:
-                raise ZeroDivisionError(
-                    f"denominator Pochhammer factor vanishes at term {k + 1}"
-                )
-            den *= f
-        run *= z * num / den
-        qk *= q
-        aq2k *= q * q
-    return total
+    return vwp_rowsum(th_a, *vwp_rows(a, bs, q, p, n, nfac), z, n)
 
 
 def phi_sum(

@@ -17,7 +17,8 @@ computed by four independent routes:
 
 EXPLICIT's prefactors and PATHS's step weights read their theta values
 from rows theta(u q^m; p), one per base u, built once per matrix: O(N)
-theta values a matrix.  EXPLICIT's series still costs O(N^3) of them.
+theta values a matrix.  EXPLICIT's entry series read rows of their own,
+one per series parameter, so the whole matrix costs O(N^2) of them.
 
 The degenerations of R (q-Racah and Krawtchouk coefficient matrices), the
 parameter symmetries, the limit transitions between levels, and the
@@ -250,12 +251,8 @@ def _theta_row(u: complex, lo: int, hi: int, ctx: EllipticContext) -> list:
     pass into the theta value in full.
     """
     q = ctx.q
-    row = [scalar.theta(u * q**m, ctx) for m in range(lo, 0)]
-    x = u
-    for _ in range(hi):
-        row.append(scalar.theta(x, ctx))
-        x *= q
-    return row
+    below = [scalar.theta(u * q**m, ctx) for m in range(lo, 0)]
+    return below + [scalar.theta(x, ctx) for x in kernels.powers(u, q, hi)]
 
 
 def _require_nonzero(quad: ParamQuad, names: str, route: Route) -> None:
@@ -287,22 +284,25 @@ def _balanced_ratio(num: list, den: list, what: str) -> complex:
 
 
 def _explicit_rows(quad: ParamQuad) -> tuple:
-    """The theta rows every EXPLICIT prefactor of `quad` reads.
+    """The theta rows every EXPLICIT entry of `quad` reads.
 
-    Rows of theta(u q^m; p): m = 0 .. N-1 for u in b/d, ac, a/c, bd, b/c,
-    bc, cd, q, and m = 1-N .. N-1 for u in c/d, d/c; 12N - 2 theta values.
+    The prefactor rows theta(u q^m; p): m = 0 .. N-1 for u in b/d, ac, a/c,
+    bd, b/c, bc, cd, q, and m = 1-N .. N-1 for u in c/d, d/c; 12N - 2
+    theta values.  Then the series rows, which grow as entries read them.
     """
     _require_nonzero(quad, "abcd", Route.EXPLICIT)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
     bases = (b / d, a * c, a / c, b * d, b / c, b * c, c * d, ctx.q)
-    return (
+    prefactor = (
         *(_theta_row(u, 0, N, ctx) for u in bases),
         *(_theta_row(u, 1 - N, N, ctx) for u in (c / d, d / c)),
     )
+    return prefactor, _SeriesRows(quad)
 
 
 def _r_entry_explicit(quad: ParamQuad, rows: tuple, k: int, l: int) -> complex:
-    b_d, ac, a_c, bd, b_c, bc, cd, qq, c_d, d_c = rows
+    prefactor, series = rows
+    b_d, ac, a_c, bd, b_c, bc, cd, qq, c_d, d_c = prefactor
     N = quad.N
     # q^(l(l-N)) rides as one factor q^(l-N) on each factor of (b/d)_l,
     # which the interleaving pairs with (q^(l-N) c/d)_l; the power alone
@@ -329,34 +329,95 @@ def _r_entry_explicit(quad: ParamQuad, rows: tuple, k: int, l: int) -> complex:
         + qq[: N - l]
     )
     pref = _balanced_ratio(num, den, "entry prefactor")
-    return pref * entry_series(quad, k, l)
+    return pref * series.value(k, l)
+
+
+def _series_params(quad: ParamQuad, k: int, l: int) -> tuple:
+    """alpha, the seven (key, b) pairs and n of entry (k, l)'s series.
+
+    A key names b's family and the index it depends on, so equal keys
+    mean equal values: q^(-m) is keyed by m, whether m is k or l.
+    """
+    a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
+    q = quad.ctx.q
+    alpha = q ** (-N) * c / b
+    n, m = sorted((k, l))
+    bs = (
+        (("m", m), q ** (-m)),
+        (("k", k), q ** (k - N) * a / b),
+        (("l", l), q ** (l - N) * c / d),
+        ("cd", c * d),
+        ("ab", q ** (1 - N) / (a * b)),
+        ("cb", q * c / b),
+        (("m", n), q ** (-n)),
+    )
+    return alpha, bs, n
 
 
 def entry_series(quad: ParamQuad, k: int, l: int) -> complex:
     """The terminating very-well-poised series of entry (k, l).
 
     Leading parameter q^(-N) c/b, min(k, l) + 1 terms; twelve over eleven
-    at p != 0 and ten over nine at p = 0.
+    at p != 0 and ten over nine at p = 0.  This is the single-entry form;
+    `R_explicit` sums the same series over `_SeriesRows`.
     """
-    a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
-    q = ctx.q
-    alpha = q ** (-N) * c / b
-    shared = (q ** (k - N) * a / b, q ** (l - N) * c / d, c * d,
-              q ** (1 - N) / (a * b), q * c / b)
-    if k <= l:
-        bs = (q ** (-l), *shared, q ** (-k))
-        n = k
-    else:
-        bs = (q ** (-k), *shared, q ** (-l))
-        n = l
-    return eval_V12(v12_spec(alpha, bs, q, ctx.p, n), ctx)
+    alpha, bs, n = _series_params(quad, k, l)
+    ctx = quad.ctx
+    return eval_V12(v12_spec(alpha, [u for _, u in bs], ctx.q, ctx.p, n), ctx)
+
+
+class _SeriesRows:
+    """The theta rows of every entry series of one quad.
+
+    One row theta(u q^j; p) per numerator parameter u and one per
+    denominator alpha q / u, keyed by u's key from `_series_params`, plus
+    the well-poised row theta(alpha q^(2j)); alpha is the same for every
+    entry.  A row grows to the longest series that has read it, so a
+    matrix costs 3N^2 + 12N + 2 theta values and a caller that reads a few
+    entries pays for those.  The arguments are formed as `kernels.vwp_rows`
+    forms them, so every sum is bit for bit the one `entry_series` gives.
+    """
+
+    def __init__(self, quad: ParamQuad):
+        ctx = quad.ctx
+        self.quad = quad
+        self.q, self.p, self.nfac = ctx.q, ctx.p, ctx.theta_factors
+        self.qk = kernels.powers(1.0 + 0.0j, self.q, quad.N)
+        self.num, self.den, self.wp = {}, {}, []
+        self.th_a = self.wp_args = None
+
+    def _row(self, rows: dict, key, u: complex, n: int) -> list:
+        row = rows.setdefault(key, [])
+        if len(row) < n:
+            row += kernels.theta_row(u, self.qk[len(row) : n], self.p, self.nfac)
+        return row
+
+    def value(self, k: int, l: int) -> complex:
+        alpha, bs, n = _series_params(self.quad, k, l)
+        q, p, nfac = self.q, self.p, self.nfac
+        try:
+            if self.th_a is None:
+                self.wp_args = kernels.powers(alpha + 0.0j, q * q, self.quad.N + 1)
+                self.th_a = kernels.theta(alpha, p, nfac)
+            wp = self.wp
+            for x in self.wp_args[len(wp) : n + 1]:
+                wp.append(kernels.theta(x, p, nfac))
+            num = [self._row(self.num, "alpha", alpha, n)]
+            den = [self._row(self.den, "q", q, n)]
+            for key, u in bs:
+                num.append(self._row(self.num, key, u, n))
+                den.append(self._row(self.den, key, alpha * q / u, n))
+            return kernels.vwp_rowsum(self.th_a, wp, num, den, q, n)
+        except ZeroDivisionError as exc:
+            raise SingularParameterError(str(exc)) from None
 
 
 def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     """Full coefficient matrix from the closed form.
 
     The prefactors are slices of theta rows built once for the matrix
-    (12N - 2 theta values); the entry series still costs O(N^3) thetas.
+    (12N - 2 theta values), and the entry series read rows of their own
+    (3N^2 + 12N + 2), so the matrix costs O(N^2) theta values.
     Individual entries whose prefactor or series is resonant (while the
     basis itself is fine) are taken from R_solve and reported in
     `fallback`.

@@ -5,6 +5,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,15 +176,37 @@ def _count_theta(monkeypatch) -> list:
     return calls
 
 
-def test_explicit_prefactors_read_linear_theta_rows(monkeypatch):
-    # 12N - 2 theta values per matrix; only the entry series grows as N^3
+def test_explicit_reads_quadratic_theta_rows(monkeypatch):
+    # 12N - 2 prefactor values and 3N^2 + 12N + 2 series values per matrix,
+    # the same for every quad of one N
     calls = _count_theta(monkeypatch)
-    monkeypatch.setattr(sixj, "entry_series", lambda quad, k, l: 1.0)
-    for N in (1, 4, 9):
-        calls[0] = 0
-        R = R_explicit(draw_quad(36, N, Level.ELLIPTIC))
-        assert not R.fallback
-        assert calls[0] == 12 * N - 2
+    for N in (1, 4, 9, 16):
+        for seed in (36, 37):
+            calls[0] = 0
+            R = R_explicit(draw_quad(seed, N, Level.ELLIPTIC))
+            assert not R.fallback
+            assert calls[0] == 3 * N * N + 24 * N
+
+
+def test_explicit_entries_equal_the_single_entry_series():
+    # the series rows change when theta values are computed, never how:
+    # each entry is bit for bit its prefactor times entry_series (eval_V12)
+    for level in (Level.TRIG, Level.ELLIPTIC):
+        for N in (1, 4, 8, 12):
+            for seed in range(30, 35):
+                quad = draw_quad(seed, N, level)
+                R = R_explicit(quad)
+                assert not R.fallback
+                prefactor, _ = sixj._explicit_rows(quad)
+                single = SimpleNamespace(
+                    value=lambda k, l: sixj.entry_series(quad, k, l)
+                )
+                for k in range(N + 1):
+                    for l in range(N + 1):
+                        want = sixj._r_entry_explicit(
+                            quad, (prefactor, single), k, l
+                        )
+                        assert R.entries[k, l] == want, (level, N, seed, k, l)
 
 
 def test_paths_reads_linear_theta_rows(monkeypatch):
