@@ -13,7 +13,10 @@ Conventions:
   with a short description; wrappers translate that into
   SingularParameterError,
 - every sum runs the term recurrence forward (O(n) factor updates per
-  term), never recomputing Pochhammers from scratch.
+  term), never recomputing Pochhammers from scratch,
+- very-well-poised sums read their theta values from `VwpRows`, the one
+  row builder of both the single sum `vwp_sum` and `sixj.R_explicit`,
+  whose entry series of one matrix share one table.
 """
 
 from __future__ import annotations
@@ -71,67 +74,74 @@ def powers(x: complex, step: complex, n: int) -> list:
     return out
 
 
-def theta_row(u: complex, xs: list, p: complex, nfac: int) -> list:
-    """theta(u x; p) for x in xs."""
-    return [theta(u * x, p, nfac) for x in xs]
+class VwpRows:
+    """Theta rows of very-well-poised sums that share a leading parameter a.
 
-
-def vwp_rows(
-    a: complex, bs: tuple, q: complex, p: complex, n: int, nfac: int
-) -> tuple:
-    """The theta rows `vwp_rowsum` reads for a sum of n + 1 terms.
-
-    Returns (wp, num, den):
-      wp[j]     = theta(a q^(2j)) for j <= n, the argument chained by q q
-                  from a;
-      num[i][j] = theta(u q^j) for u in (a, *bs), j < n;
-      den[i][j] = theta(u q^j) for u in (q, *(a q / b for b in bs)), j < n;
-    with q^j chained by q from 1.  A caller that builds such rows itself
-    must form the arguments the same way to get the same bits.
+    The rows theta(u q^j; p) of a and q, one per numerator parameter u and
+    one per denominator a q / u, each under a key the caller chooses (equal
+    keys must mean equal u), and the well-poised row theta(a q^(2j)), its
+    argument chained by q q from a; q^j is chained by q from 1.  A row grows
+    to the longest sum that has read it, so sums of up to n_max + 1 terms
+    that share parameters share their theta values, and a caller that
+    reads a few sums pays for those.
     """
-    for b in bs:
-        if b == 0:
-            raise ZeroDivisionError("well-poised parameter b = 0")
-    qk = powers(1.0 + 0.0j, q, n)
-    wp = [theta(x, p, nfac) for x in powers(a + 0.0j, q * q, n + 1)]
-    num = [theta_row(u, qk, p, nfac) for u in (a, *bs)]
-    den = [theta_row(u, qk, p, nfac) for u in (q, *(a * q / b for b in bs))]
-    return wp, num, den
 
+    def __init__(self, a: complex, q: complex, p: complex, n_max: int, nfac: int):
+        self.a, self.q, self.p, self.nfac = a, q, p, nfac
+        self.qk = powers(1.0 + 0.0j, q, n_max)
+        self.wp_args = powers(a + 0.0j, q * q, n_max + 1)
+        self.th_a = None
+        self.wp, self.a_row, self.q_row, self.num, self.den = [], [], [], {}, {}
 
-def vwp_rowsum(
-    th_a: complex, wp: list, num: list, den: list, z: complex, n: int
-) -> complex:
-    """The very-well-poised sum of `vwp_sum` over its theta rows.
+    def _row(self, row: list, u: complex, n: int) -> list:
+        for x in self.qk[len(row) : n]:
+            row.append(theta(u * x, self.p, self.nfac))
+        return row
 
-    th_a is theta(a; p); wp, num and den are laid out as `vwp_rows` returns
-    them, and may run past the terms read.  Term k + 1 is term k times
-    z * prod(num[.][k]) / prod(den[.][k]).  The well-poised factor is read
-    per term rather than chained, so a theta zero at an intermediate k
-    kills that term without poisoning the recurrence.
-    """
-    if abs(th_a) < SINGULAR_EPS:
-        raise ZeroDivisionError("well-poised leading factor theta(a) vanishes")
-    first, *rest = num
-    total = 0.0 + 0.0j
-    run = 1.0 + 0.0j  # z^k * (a,bs;q,p)_k / (q,aq/bs;q,p)_k
-    for k in range(n + 1):
-        total += run * wp[k] / th_a
-        if k == n:
-            break
-        top = first[k]
-        for row in rest:
-            top *= row[k]
-        bottom = 1.0 + 0.0j
-        for row in den:
-            f = row[k]
-            if abs(f) < SINGULAR_EPS:
-                raise ZeroDivisionError(
-                    f"denominator Pochhammer factor vanishes at term {k + 1}"
-                )
-            bottom *= f
-        run *= z * top / bottom
-    return total
+    def sum(self, bs: tuple, z: complex, n: int) -> complex:
+        """The sum of `vwp_sum` over the (key, b) pairs bs, n + 1 terms.
+
+        Term k + 1 is term k times z * prod(numerators) / prod(denominators)
+        at k.  The well-poised factor is read per term rather than chained,
+        so a theta zero at an intermediate k kills that term without
+        poisoning the recurrence.
+        """
+        a, q, p, nfac = self.a, self.q, self.p, self.nfac
+        if self.th_a is None:
+            self.th_a = theta(a, p, nfac)
+        for _, b in bs:
+            if b == 0:
+                raise ZeroDivisionError("well-poised parameter b = 0")
+        wp = self.wp
+        for x in self.wp_args[len(wp) : n + 1]:
+            wp.append(theta(x, p, nfac))
+        num = [self._row(self.a_row, a, n)]
+        den = [self._row(self.q_row, q, n)]
+        for key, b in bs:
+            num.append(self._row(self.num.setdefault(key, []), b, n))
+            den.append(self._row(self.den.setdefault(key, []), a * q / b, n))
+        if abs(self.th_a) < SINGULAR_EPS:
+            raise ZeroDivisionError("well-poised leading factor theta(a) vanishes")
+        first, *rest = num
+        total = 0.0 + 0.0j
+        run = 1.0 + 0.0j  # z^k * (a,bs;q,p)_k / (q,aq/bs;q,p)_k
+        for k in range(n + 1):
+            total += run * wp[k] / self.th_a
+            if k == n:
+                break
+            top = first[k]
+            for row in rest:
+                top *= row[k]
+            bottom = 1.0 + 0.0j
+            for row in den:
+                f = row[k]
+                if abs(f) < SINGULAR_EPS:
+                    raise ZeroDivisionError(
+                        f"denominator Pochhammer factor vanishes at term {k + 1}"
+                    )
+                bottom *= f
+            run *= z * top / bottom
+        return total
 
 
 def vwp_sum(
@@ -150,10 +160,8 @@ def vwp_sum(
 
     At p == 0 this is the classical very-well-poised series of length
     len(bs) + 3 over len(bs) + 2; at p != 0 (with z == q) the elliptic one.
-    It is `vwp_rowsum` over the rows `vwp_rows` builds for this one sum.
     """
-    th_a = theta(a, p, nfac)
-    return vwp_rowsum(th_a, *vwp_rows(a, bs, q, p, n, nfac), z, n)
+    return VwpRows(a, q, p, n, nfac).sum(tuple(enumerate(bs)), z, n)
 
 
 def phi_sum(

@@ -182,7 +182,7 @@ def run_command(argv) -> int:
             q = args.q if args.q is not None else complex(DEFAULT_Q)
             p = args.p if args.p is not None else 0j
             z = args.z if args.z is not None else 1.0 + 0j
-            ctx = make_context(q, p=p)
+            make_context(q, p=p)  # rejects q = 0 and |p| >= 1 for every family
             if family == "F":
                 val = eval_rFs(f_spec(args.top, args.bottom, z, args.terms))
             elif family == "phi":
@@ -190,7 +190,7 @@ def run_command(argv) -> int:
             elif family == "W":
                 val = eval_W(w_spec(args.a, args.b, q, z, args.terms))
             else:
-                val = eval_V12(v12_spec(args.a, args.b, q, p, args.terms), ctx)
+                val = eval_V12(v12_spec(args.a, args.b, q, p, args.terms))
             print(_json_fragment({"family": family, "value": val}))
             return 0
 

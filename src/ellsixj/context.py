@@ -24,6 +24,16 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
+def theta_factors(p: complex) -> int:
+    """Factor pairs a truncated theta product keeps at nome p; 0 at p == 0."""
+    if not abs(p) < 1:
+        raise DomainError("the nome must satisfy |p| < 1")
+    if p == 0:
+        return 0
+    # |p|^J <= THETA_EPS with two guard factors
+    return math.ceil(math.log(THETA_EPS) / math.log(abs(p))) + 2
+
+
 @dataclass(frozen=True)
 class EllipticContext:
     q: complex
@@ -40,16 +50,10 @@ class EllipticContext:
             raise DomainError("q = 0 is outside the supported regime")
         if abs(qh * qh - q) > DEFAULT_TOL * abs(q):
             raise DomainError("q_half**2 does not match q")
-        if abs(p) >= 1:
-            raise DomainError("the nome must satisfy |p| < 1")
-        nfac = 0
-        if p != 0:
-            # |p|^J <= THETA_EPS with two guard factors
-            nfac = math.ceil(math.log(THETA_EPS) / math.log(abs(p))) + 2
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "q_half", qh)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "theta_factors", nfac)
+        object.__setattr__(self, "theta_factors", theta_factors(p))
 
     @property
     def trigonometric(self) -> bool:

@@ -527,10 +527,10 @@ def verify_jackson(cfg: SampleConfig, levels=None) -> VerifyReport:
         else:
             raise SamplingError("no generic summation data within the budget")
         spec = jackson_spec(a, b, c, xi, N, ctx)
-        lhs = eval_V12(spec, ctx)
+        lhs = eval_V12(spec)
         rhs = jackson_rhs(a, b, c, xi, N, ctx)
         scale = max(
-            max(abs(t) for t in series_terms(spec, ctx)), abs(rhs), 1e-300
+            max(abs(t) for t in series_terms(spec)), abs(rhs), 1e-300
         )
         res = abs(lhs - rhs) / scale
         return res, {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .backend import kernels
-from .context import EllipticContext, make_context
+from .context import EllipticContext, make_context, theta_factors
 from .errors import BalancingError, DomainError, SingularParameterError
 from . import scalar
 
@@ -116,13 +116,6 @@ def v12_spec(a: complex, bs, q: complex, p: complex, n: int) -> SeriesSpec:
 # -- evaluation ------------------------------------------------------------
 
 
-def _spec_context(spec: SeriesSpec, ctx: EllipticContext | None) -> EllipticContext:
-    """ctx when it carries the spec's nome, else a default context for the spec."""
-    if ctx is None or ctx.p != spec.nome:
-        return make_context(spec.base, spec.nome)
-    return ctx
-
-
 def eval_rFs(spec: SeriesSpec) -> complex:
     if spec.family != "F":
         raise DomainError("spec is not an ordinary hypergeometric series")
@@ -155,7 +148,7 @@ def eval_W(spec: SeriesSpec) -> complex:
         raise SingularParameterError(str(exc)) from None
 
 
-def eval_V12(spec: SeriesSpec, ctx: EllipticContext | None = None) -> complex:
+def eval_V12(spec: SeriesSpec) -> complex:
     if spec.family != "V12":
         raise DomainError("spec is not an elliptic very-well-poised series")
     try:
@@ -166,13 +159,13 @@ def eval_V12(spec: SeriesSpec, ctx: EllipticContext | None = None) -> complex:
             spec.nome,
             spec.argument,
             spec.terms,
-            _spec_context(spec, ctx).theta_factors,
+            theta_factors(spec.nome),
         )
     except ZeroDivisionError as exc:
         raise SingularParameterError(str(exc)) from None
 
 
-def series_terms(spec: SeriesSpec, ctx: EllipticContext | None = None) -> Iterator[complex]:
+def series_terms(spec: SeriesSpec) -> Iterator[complex]:
     """Individual terms, each built from scratch with O(k) Pochhammers.
 
     Deliberately independent of the kernel recurrences; the tests compare
@@ -199,7 +192,7 @@ def series_terms(spec: SeriesSpec, ctx: EllipticContext | None = None) -> Iterat
             yield num / den * sign * spec.argument**k
         return
     # well-poised families share the term shape
-    ctx = _spec_context(spec, ctx)
+    ctx = make_context(q, spec.nome)
     a = spec.top[0]
     bs = spec.top[1:]
     th_a = scalar.theta(a, ctx)

@@ -17,8 +17,9 @@ computed by four independent routes:
 
 EXPLICIT's prefactors and PATHS's step weights read their theta values
 from rows theta(u q^m; p), one per base u, built once per matrix: O(N)
-theta values a matrix.  EXPLICIT's entry series read rows of their own,
-one per series parameter, so the whole matrix costs O(N^2) of them.
+theta values a matrix.  EXPLICIT's entry series read one
+`kernels.VwpRows` table per matrix, the row builder the single-entry
+series `entry_series` reads too, so the whole matrix costs O(N^2) of them.
 
 The degenerations of R (q-Racah and Krawtchouk coefficient matrices), the
 parameter symmetries, the limit transitions between levels, and the
@@ -129,9 +130,9 @@ def krawtchouk_inverse(
     """Inverse of the Krawtchouk matrix, by parameter substitution.
 
     Expanding monomials back in the (a x + b)^k (c x + d)^(N-k) basis is
-    the same problem for the inverted group element (d, -b, -c, a).
+    the same problem for the inverted group element.
     """
-    return krawtchouk_matrix(N, d, -b, -c, a)
+    return krawtchouk_matrix(N, *sl2_inverse((a, b, c, d)))
 
 
 # -- q-Racah level -----------------------------------------------------------
@@ -288,7 +289,8 @@ def _explicit_rows(quad: ParamQuad) -> tuple:
 
     The prefactor rows theta(u q^m; p): m = 0 .. N-1 for u in b/d, ac, a/c,
     bd, b/c, bc, cd, q, and m = 1-N .. N-1 for u in c/d, d/c; 12N - 2
-    theta values.  Then the series rows, which grow as entries read them.
+    theta values.  Then the `kernels.VwpRows` table of the entry series,
+    whose rows grow as entries read them.
     """
     _require_nonzero(quad, "abcd", Route.EXPLICIT)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
@@ -297,7 +299,8 @@ def _explicit_rows(quad: ParamQuad) -> tuple:
         *(_theta_row(u, 0, N, ctx) for u in bases),
         *(_theta_row(u, 1 - N, N, ctx) for u in (c / d, d / c)),
     )
-    return prefactor, _SeriesRows(quad)
+    alpha = _series_params(quad, 0, 0)[0]  # the same for every entry
+    return prefactor, kernels.VwpRows(alpha, ctx.q, ctx.p, N, ctx.theta_factors)
 
 
 def _r_entry_explicit(quad: ParamQuad, rows: tuple, k: int, l: int) -> complex:
@@ -329,7 +332,11 @@ def _r_entry_explicit(quad: ParamQuad, rows: tuple, k: int, l: int) -> complex:
         + qq[: N - l]
     )
     pref = _balanced_ratio(num, den, "entry prefactor")
-    return pref * series.value(k, l)
+    _, bs, n = _series_params(quad, k, l)
+    try:
+        return pref * series.sum(bs, quad.ctx.q, n)
+    except ZeroDivisionError as exc:
+        raise SingularParameterError(str(exc)) from None
 
 
 def _series_params(quad: ParamQuad, k: int, l: int) -> tuple:
@@ -359,65 +366,24 @@ def entry_series(quad: ParamQuad, k: int, l: int) -> complex:
 
     Leading parameter q^(-N) c/b, min(k, l) + 1 terms; twelve over eleven
     at p != 0 and ten over nine at p = 0.  This is the single-entry form;
-    `R_explicit` sums the same series over `_SeriesRows`.
+    `R_explicit` sums the same series, through the same `kernels.VwpRows`
+    rows, over one table per matrix.
     """
+    if not (0 <= k <= quad.N and 0 <= l <= quad.N):
+        raise DomainError("need 0 <= k, l <= N")
     alpha, bs, n = _series_params(quad, k, l)
     ctx = quad.ctx
-    return eval_V12(v12_spec(alpha, [u for _, u in bs], ctx.q, ctx.p, n), ctx)
-
-
-class _SeriesRows:
-    """The theta rows of every entry series of one quad.
-
-    One row theta(u q^j; p) per numerator parameter u and one per
-    denominator alpha q / u, keyed by u's key from `_series_params`, plus
-    the well-poised row theta(alpha q^(2j)); alpha is the same for every
-    entry.  A row grows to the longest series that has read it, so a
-    matrix costs 3N^2 + 12N + 2 theta values and a caller that reads a few
-    entries pays for those.  The arguments are formed as `kernels.vwp_rows`
-    forms them, so every sum is bit for bit the one `entry_series` gives.
-    """
-
-    def __init__(self, quad: ParamQuad):
-        ctx = quad.ctx
-        self.quad = quad
-        self.q, self.p, self.nfac = ctx.q, ctx.p, ctx.theta_factors
-        self.qk = kernels.powers(1.0 + 0.0j, self.q, quad.N)
-        self.num, self.den, self.wp = {}, {}, []
-        self.th_a = self.wp_args = None
-
-    def _row(self, rows: dict, key, u: complex, n: int) -> list:
-        row = rows.setdefault(key, [])
-        if len(row) < n:
-            row += kernels.theta_row(u, self.qk[len(row) : n], self.p, self.nfac)
-        return row
-
-    def value(self, k: int, l: int) -> complex:
-        alpha, bs, n = _series_params(self.quad, k, l)
-        q, p, nfac = self.q, self.p, self.nfac
-        try:
-            if self.th_a is None:
-                self.wp_args = kernels.powers(alpha + 0.0j, q * q, self.quad.N + 1)
-                self.th_a = kernels.theta(alpha, p, nfac)
-            wp = self.wp
-            for x in self.wp_args[len(wp) : n + 1]:
-                wp.append(kernels.theta(x, p, nfac))
-            num = [self._row(self.num, "alpha", alpha, n)]
-            den = [self._row(self.den, "q", q, n)]
-            for key, u in bs:
-                num.append(self._row(self.num, key, u, n))
-                den.append(self._row(self.den, key, alpha * q / u, n))
-            return kernels.vwp_rowsum(self.th_a, wp, num, den, q, n)
-        except ZeroDivisionError as exc:
-            raise SingularParameterError(str(exc)) from None
+    return eval_V12(v12_spec(alpha, [u for _, u in bs], ctx.q, ctx.p, n))
 
 
 def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     """Full coefficient matrix from the closed form.
 
     The prefactors are slices of theta rows built once for the matrix
-    (12N - 2 theta values), and the entry series read rows of their own
-    (3N^2 + 12N + 2), so the matrix costs O(N^2) theta values.
+    (12N - 2 theta values), and the entry series read one
+    `kernels.VwpRows` table (3N^2 + 12N + 2), so the matrix costs O(N^2)
+    theta values; each entry is bit for bit its prefactor times
+    `entry_series`.
     Individual entries whose prefactor or series is resonant (while the
     basis itself is fine) are taken from R_solve and reported in
     `fallback`.

@@ -128,13 +128,16 @@ def wilson_biorth_sum(n: int, m: int, wp: WilsonParams) -> tuple:
 # -- rational picture ----------------------------------------------------------
 
 
-def _require_trig(quad: ParamQuad) -> None:
+def _require_wilson(quad: ParamQuad, *indices: int) -> None:
+    """The Wilson picture has no nome, and its indices lie in 0..N."""
     if quad.ctx.p != 0:
         raise DomainError("the Wilson picture has no nome")
+    if not all(0 <= i <= quad.N for i in indices):
+        raise DomainError("need 0 <= index <= N")
 
 
 def mu(k: int, quad: ParamQuad) -> complex:
-    _require_trig(quad)
+    _require_wilson(quad, k)
     q = quad.ctx.q
     return q ** (-k) + q ** (k - quad.N) * quad.c / quad.d
 
@@ -142,7 +145,7 @@ def mu(k: int, quad: ParamQuad) -> complex:
 def rational_R(n: int, k: int, quad: ParamQuad) -> complex:
     """R_n at the k-th grid point: the series of matrix entry (n, k)."""
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-    _require_trig(quad)
+    _require_wilson(quad, n, k)
     q = quad.ctx.q
     pref = scalar.qpochs(
         q, n, q ** (-N), a * c, q ** (1 - N) / (b * d), a / c
@@ -153,7 +156,7 @@ def rational_R(n: int, k: int, quad: ParamQuad) -> complex:
 def rational_S(m: int, k: int, quad: ParamQuad) -> complex:
     """S_m at the k-th grid point: the series of entry (k, m) of (c, d, a, b)."""
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-    _require_trig(quad)
+    _require_wilson(quad, m, k)
     q = quad.ctx.q
     pref = scalar.qpochs(
         q, m, q ** (-N), a * c, q ** (1 - N) / (b * d), d / b
@@ -201,7 +204,7 @@ def rational_S_from_matrix(m: int, k: int, quad: ParamQuad, back_entry: complex)
 
 def eto_weight(k: int, quad: ParamQuad) -> complex:
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-    _require_trig(quad)
+    _require_wilson(quad, k)
     q = quad.ctx.q
     head = (1 - q ** (2 * k - N) * c / d) / (1 - q ** (-N) * c / d)
     num = scalar.qpochs(
@@ -217,7 +220,7 @@ def eto_weight(k: int, quad: ParamQuad) -> complex:
 
 def eto_norm(n: int, quad: ParamQuad) -> complex:
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-    _require_trig(quad)
+    _require_wilson(quad, n)
     q = quad.ctx.q
     head = scalar.qpochs(q, N, b * a, b / a, d * c, d / c) / scalar.qpochs(
         q, N, b * c, b / c, d * a, d / a
@@ -252,7 +255,7 @@ def quad_to_wilson(quad: ParamQuad) -> WilsonParams:
     round trip closes up to a global sign that none of the evaluated
     quantities depend on.
     """
-    _require_trig(quad)
+    _require_wilson(quad)
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
     q, qh = quad.ctx.q, quad.ctx.q_half
     s = cmath.sqrt(c / d)

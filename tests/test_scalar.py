@@ -9,7 +9,7 @@ import pytest
 import ellsixj
 from conftest import rel
 from ellsixj import backend, scalar
-from ellsixj.context import EllipticContext, make_context
+from ellsixj.context import EllipticContext, make_context, theta_factors
 from ellsixj.errors import DomainError, SingularParameterError
 from ellsixj.series import eval_V12, jackson_spec
 
@@ -210,5 +210,50 @@ def test_kernels_are_called_through_the_backend_module(monkeypatch, ell_ctx):
     assert len(calls) == 1
     spec = jackson_spec(1.21 + 0.33j, 0.77 - 0.41j, 1.63 + 0.12j, 0.91 + 0.54j, 3, ell_ctx)
     calls.clear()
-    eval_V12(spec, ell_ctx)
+    eval_V12(spec)
     assert calls
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return f"error: {exc}"
+
+
+def test_shared_vwp_rows_equal_fresh_sums():
+    # sums read from one table, in shuffled order and with keys shared
+    # between and within sums, are bit for bit fresh vwp_sum calls, or
+    # raise the same message; theta(a) = 0 at a = 1, b = 0 under key 0
+    kernels = backend.kernels
+    rng = np.random.default_rng(23)
+
+    def c(lo, hi):
+        return complex(rng.uniform(lo, hi) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+
+    seen = set()
+    for case in range(300):
+        p = 0j if case % 2 else complex(rng.uniform(0.05, 0.3))
+        q, nfac = c(0.3, 0.7), theta_factors(p)
+        z = q if p else c(0.5, 1.5)
+        a = 1.0 + 0j if case % 10 == 3 else c(0.5, 1.6)
+        pool = [c(0.5, 1.6) for _ in range(10)]
+        if case % 10 == 7:
+            pool[0] = 0j
+        n_max = int(rng.integers(0, 7))
+        sums = []
+        for _ in range(5):
+            bs = tuple((int(k), pool[k]) for k in rng.integers(0, 10, size=7))
+            sums.append((bs, int(rng.integers(0, n_max + 1))))
+        rows = kernels.VwpRows(a, q, p, n_max, nfac)
+        for i in rng.permutation(len(sums)):
+            bs, n = sums[i]
+            want = _outcome(kernels.vwp_sum, a, [b for _, b in bs], q, p, z, n, nfac)
+            got = _outcome(rows.sum, bs, z, n)
+            assert got == want, (case, i)
+            if isinstance(got, str):
+                seen.add(got)
+    assert seen == {
+        "error: well-poised parameter b = 0",
+        "error: well-poised leading factor theta(a) vanishes",
+    }

@@ -91,10 +91,21 @@ def test_terminating_well_poised_summation(trig_ctx, ell_ctx):
         a, b, c, xi = 1.21 + 0.33j, 0.77 - 0.41j, 1.63 + 0.12j, 0.91 + 0.54j
         N = 4
         spec = jackson_spec(a, b, c, xi, N, ctx)
-        lhs = eval_V12(spec, ctx)
+        lhs = eval_V12(spec)
         rhs = jackson_rhs(a, b, c, xi, N, ctx)
-        scale = max(max(abs(t) for t in series_terms(spec, ctx)), abs(rhs))
+        scale = max(max(abs(t) for t in series_terms(spec)), abs(rhs))
         assert abs(lhs - rhs) / scale < 1e-11
+
+
+def test_elliptic_series_reads_its_own_base():
+    # the spec alone fixes q, p and the theta truncation; a context with
+    # another base once mixed two bases into the from-scratch terms
+    q, p, n = 0.45, 0.13, 3
+    a, b, c, d, e = 1.1 + 0.2j, 0.8 - 0.3j, 1.3 + 0.1j, 0.9 + 0.4j, 1.2 - 0.2j
+    f = 0.7 + 0.5j
+    g = a**3 * q ** (n + 2) / (b * c * d * e * f)
+    spec = v12_spec(a, (b, c, d, e, f, g, q**-n), q, p, n)
+    assert rel(sum(series_terms(spec)), eval_V12(spec)) < 1e-12
 
 
 def test_termination_slot_must_be_last():

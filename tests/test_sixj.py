@@ -198,11 +198,11 @@ def test_explicit_entries_equal_the_single_entry_series():
                 R = R_explicit(quad)
                 assert not R.fallback
                 prefactor, _ = sixj._explicit_rows(quad)
-                single = SimpleNamespace(
-                    value=lambda k, l: sixj.entry_series(quad, k, l)
-                )
                 for k in range(N + 1):
                     for l in range(N + 1):
+                        single = SimpleNamespace(
+                            sum=lambda bs, z, n: sixj.entry_series(quad, k, l)
+                        )
                         want = sixj._r_entry_explicit(
                             quad, (prefactor, single), k, l
                         )

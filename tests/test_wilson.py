@@ -6,7 +6,7 @@ import pytest
 from conftest import draw_quad, rel
 from ellsixj.errors import DomainError
 from ellsixj.harness import SampleConfig, Shape, sample_generic
-from ellsixj.sixj import ParamQuad, R_explicit
+from ellsixj.sixj import ParamQuad, R_explicit, entry_series
 from ellsixj.wilson import (
     WilsonParams,
     eto_norm,
@@ -130,6 +130,26 @@ def test_weight_norm_and_grid_reject_nome(ell_ctx):
     for fn in (eto_weight, eto_norm, mu):
         with pytest.raises(DomainError):
             fn(1, quad)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    (entry_series, rational_R, rational_S, eto_weight, eto_norm, mu),
+    ids=lambda fn: fn.__name__,
+)
+def test_rational_picture_rejects_indices_outside_0_to_N(fn, trig_ctx):
+    # at N = 2 these returned 1, 0 or a stray series value for index 3..7
+    quad = ParamQuad(0.9 + 0.2j, 1.3, 0.8 - 0.3j, 1.1 + 0.4j, 2, trig_ctx)
+    two = fn in (entry_series, rational_R, rational_S)
+
+    def call(*idx):
+        return fn(quad, *idx) if fn is entry_series else fn(*idx, quad)
+
+    for bad in (-1, 3, 5, 7):
+        for idx in ((bad, 1), (1, bad), (bad, 0), (0, bad)) if two else ((bad,),):
+            with pytest.raises(DomainError):
+                call(*idx)
+    assert np.isfinite(call(*((2, 1) if two else (2,))))
 
 
 def test_addition_formula_three_ways():
