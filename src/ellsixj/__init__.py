@@ -19,7 +19,6 @@ from .basis import (
     expansion_residual,
     h_pair_fn,
     h_value,
-    wn_membership,
     xi_from_x,
 )
 from .context import EllipticContext, make_context
@@ -86,7 +85,6 @@ from .sixj import (
     krawtchouk_inverse,
     krawtchouk_matrix,
     multiconv_rhs,
-    paths_gf,
     paths_qbinomial,
     qracah_C,
     qracah_D,
@@ -101,23 +99,18 @@ from .sklyanin import (
     gevp_check,
     off_band_mass,
     operator_matrix,
-    pfl_residual,
-    riemann_residual,
-    tadd_residual,
 )
 from .wilson import (
     WilsonParams,
     eto_norm,
     eto_pairing_sum,
     eto_weight,
-    quad_to_wilson,
     rational_R,
     rational_S,
     wilson_addition,
     wilson_biorth_sum,
     wilson_norm,
     wilson_r,
-    wilson_to_quad,
     wilson_weight,
 )
 

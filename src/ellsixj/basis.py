@@ -225,30 +225,3 @@ def expansion_residual(
         scale = max(scale, abs(fx), 1e-300)
     return worst / max(scale, 1e-300)
 
-
-# -- function-space membership ---------------------------------------------
-
-
-def wn_membership(
-    f: Callable[[complex], complex],
-    N: int,
-    ctx: EllipticContext,
-) -> float:
-    """Max relative residual of the two defining symmetries of the space.
-
-    f(xi) = f(1/xi)  and, for p != 0,  f(p xi) = (p xi^2)^{-N} f(xi).
-    The input is a function of xi (not of x).
-    """
-    worst = 0.0
-    for j in range(8):
-        xi = (1.15 + 0.09 * (j % 3)) * cmath.exp(2j * math.pi * (j + 0.23) / 8)
-        fx = f(xi)
-        finv = f(1.0 / xi)
-        scale = max(abs(fx), abs(finv), 1e-300)
-        worst = max(worst, abs(fx - finv) / scale)
-        if ctx.p != 0:
-            fp = f(ctx.p * xi)
-            ref = (ctx.p * xi * xi) ** (-N) * fx
-            scale = max(abs(fp), abs(ref), 1e-300)
-            worst = max(worst, abs(fp - ref) / scale)
-    return worst

@@ -75,6 +75,8 @@ class SeriesSpec:
         if self.family == "V12":
             if len(self.top) != 8:
                 raise DomainError("V12 needs a leading parameter plus seven")
+            if self.nome != 0 and 0 in self.top:
+                raise DomainError("theta(0; p) is undefined for p != 0")
             if abs(self.argument - q) > TERMINATION_RTOL * abs(q):
                 raise DomainError("V12 argument is fixed to q")
             a = self.top[0]

@@ -725,16 +725,14 @@ def limit_trig_to_qracah(quad: ParamQuad) -> LimitReport:
 
 
 def limit_trig_to_qkraw(
-    a: complex, b: complex, d: complex, k: int, l: int, N: int, q: complex,
-    c: complex | None = None,
+    a: complex, b: complex, d: complex, k: int, l: int, N: int, q: complex
 ) -> LimitReport:
     """Prefactored R entry approaches the q-Krawtchouk 3phi2.
 
     (q^k d/(b s))^{N-l} R_k^l(a s, b s, c, d; N) against
     [N,l]_q (q^k a/b)^k 3phi2.  This is a double limit: the target also
-    needs c -> 0, and the c-error enters as c/s.  By default c = s^2 so
-    both contributions decay first order in s; an explicit c (held fixed
-    across the probes) is honored for spot checks.
+    needs c -> 0, and the c-error enters as c/s.  With c = s^2 both
+    contributions decay first order in s.
     """
     from .context import make_context
 
@@ -748,8 +746,7 @@ def limit_trig_to_qkraw(
     )
     res = []
     for s in LIMIT_SCALES:
-        cs = complex(s * s) if c is None else complex(c)
-        quad = ParamQuad(a * s, b * s, cs, d, N, ctx)
+        quad = ParamQuad(a * s, b * s, complex(s * s), d, N, ctx)
         val = (q**k * d / (b * s)) ** (N - l) * R_explicit(quad).entries[k, l]
         res.append(abs(val - target) / max(abs(target), 1e-300))
     return LimitReport(tuple(res))
@@ -872,20 +869,13 @@ def krawtchouk_addition_sides(N: int, A1, A2) -> tuple:
 # -- exact path combinatorics --------------------------------------------------
 
 
-def paths_gf(N: int, l: int, k: int, q: complex, t: complex) -> complex:
-    """sum over up-right paths (0,0)->(l,N-l) of q^(area) t^(height after k).
-
-    Each up step at abscissa x contributes q^x, times t when it is one of
-    the first k steps.
-    """
-    return _path_sums(
-        N, lambda x, y, right: 1.0 if right else q**x * (t if x + y < k else 1.0)
-    )[l]
-
-
 def paths_qbinomial(N: int, l: int, q: complex) -> complex:
-    """Area generating function over paths; equals the Gaussian binomial."""
-    return paths_gf(N, l, 0, q, 1.0)
+    """Area generating function over paths; equals the Gaussian binomial.
+
+    The sum over up-right paths (0,0)->(l,N-l) of q^(area): each up step at
+    abscissa x contributes q^x.
+    """
+    return _path_sums(N, lambda x, y, right: 1.0 if right else q**x)[l]
 
 
 def subset_expansion_sides(N: int, l: int, K, t: Fraction):

@@ -10,8 +10,7 @@ with a*b*c*d = q^-N preserves the theta-function space spanned by the
 products h_k(x; lam) h_{N-k}(x; mu).  On the matched basis it acts
 diagonally (the eigenrelation), on any other it acts tridiagonally, and
 pairs of such operators form the generalized eigenvalue problem whose
-change-of-basis matrices are the connection coefficients.  The classical
-theta identities those facts rest on are checkable here as well.
+change-of-basis matrices are the connection coefficients.
 """
 
 from __future__ import annotations
@@ -146,12 +145,10 @@ def off_band_mass(mat: np.ndarray) -> float:
 class GevpReport:
     eigen_residuals: tuple
     lambdas: tuple
-    off_band: float | None
 
 
 def gevp_check(
-    a: complex, b: complex, c: complex, d2: complex, N: int,
-    ctx: EllipticContext, third: tuple | None = None,
+    a: complex, b: complex, c: complex, d2: complex, N: int, ctx: EllipticContext
 ) -> GevpReport:
     """Generalized eigenvalue problem solved by e_k = h_k(x;a)h_{N-k}(x;b).
 
@@ -162,9 +159,7 @@ def gevp_check(
         lambda_k = (d2/c) theta(q^k a'c, q^(N-k) b'c; p)
                          / theta(q^k a'd2, q^(N-k) b'd2; p),
 
-    with a' = q^(-1/2) a, b' = q^(-1/2) b.  When `third` = (e, f, g) is
-    given, the report also carries the off-band mass of Y = D3 D1 in the
-    (e_k) basis, which must be tridiagonal.
+    with a' = q^(-1/2) a, b' = q^(-1/2) b.
     """
     q = ctx.q
     ap = a / ctx.q_half
@@ -186,77 +181,5 @@ def gevp_check(
             v2 = apply_delta(op2, ek, xi)
             worst = max(worst, _relative_gap(v1, lam * v2))
         residuals.append(worst)
-    off = None
-    if third is not None:
-        op3 = DiffOpSpec.three(*third, N, ctx)
+    return GevpReport(tuple(residuals), tuple(lambdas))
 
-        def y_image(ek):
-            return lambda x: apply_delta(
-                op3, lambda z: apply_delta(op1, ek, z), xi_from_x(x)
-            )
-
-        images = [y_image(h_pair_xi(a, b, k, N, ctx)) for k in range(N + 1)]
-        off = off_band_mass(expand_by_solve(images, BasisPair(a, b, N), ctx).T)
-    return GevpReport(tuple(residuals), tuple(lambdas), off)
-
-
-# -- theta identities ------------------------------------------------------------
-
-
-def pfl_residual(a_list, b_list, xi: complex, ctx: EllipticContext) -> float:
-    """Relative residual of the partial-fraction theta identity at xi.
-
-    a_list has n entries and b_list n + 2, with prod(a) * prod(b) = 1.
-    """
-    if len(b_list) != len(a_list) + 2:
-        raise DomainError("need two more b's than a's")
-    prod = 1.0 + 0j
-    for v in (*a_list, *b_list):
-        prod *= v
-    if abs(prod - 1) > 1e-8:
-        raise DomainError("need prod(a) * prod(b) = 1")
-    n = len(a_list)
-    lhs = xi ** (-n - 1)
-    for v in (*a_list, *b_list):
-        lhs *= scalar.theta(v * xi, ctx)
-    down = xi ** (n + 1)
-    for v in (*a_list, *b_list):
-        down *= scalar.theta(v / xi, ctx)
-    lhs -= down
-    prod_a = 1.0 + 0j
-    for v in a_list:
-        prod_a *= v
-    rhs = 0j
-    for k in range(n):
-        term = 1.0 + 0j
-        for bj in b_list:
-            term *= scalar.theta(a_list[k] * bj, ctx)
-        for j in range(n):
-            if j != k:
-                term *= scalar.thetas(ctx, a_list[j] * xi, a_list[j] / xi)
-                term /= scalar.theta(a_list[k] / a_list[j], ctx)
-        rhs += term
-    rhs *= (-1) ** n * xi * scalar.theta(xi ** (-2), ctx) / prod_a
-    return _relative_gap(lhs, rhs)
-
-
-def riemann_residual(u: complex, v: complex, x: complex, y: complex,
-                     ctx: EllipticContext) -> float:
-    """Relative residual of the three-term theta addition formula."""
-    lhs = v / x * scalar.thetas(ctx, x * y, x / y, u * v, u / v)
-    rhs = scalar.thetas(ctx, u * x, u / x, v * y, v / y) - scalar.thetas(
-        ctx, u * y, u / y, v * x, v / x
-    )
-    return _relative_gap(lhs, rhs)
-
-
-def tadd_residual(u: complex, v: complex, x: complex, y: complex) -> float:
-    """The three-term addition at nome zero, in plain 1 - z factors.
-
-    Independent of the theta code, so it is a reference for the trig level.
-    """
-    lhs = v / x * (1 - x * y) * (1 - x / y) * (1 - u * v) * (1 - u / v)
-    rhs = (1 - u * x) * (1 - u / x) * (1 - v * y) * (1 - v / y) - (
-        1 - u * y
-    ) * (1 - u / y) * (1 - v * x) * (1 - v / x)
-    return _relative_gap(lhs, rhs)

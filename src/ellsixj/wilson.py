@@ -2,16 +2,14 @@
 
 Two equivalent pictures of the same biorthogonal system:
 
-  * rational functions R_n, S_m of mu(k) = q^-k + q^(k-N) c/d, defined
-    either by very-well-poised series or by rescaling a row/column of the
-    coefficient matrices, discretely biorthogonal with weights `eto_weight`;
+  * rational functions R_n, S_m of mu(k) = q^-k + q^(k-N) c/d, each a
+    prefactor times the very-well-poised series of one coefficient-matrix
+    entry, discretely biorthogonal with weights `eto_weight`;
   * Wilson-style functions r_n((z + 1/z)/2; a,...,f) with abcdef = q and
     ab = q^-N, biorthogonal on the grid z_k = a q^k.
 
-`quad_to_wilson` and `wilson_to_quad` translate between the two parameter
-sets, and `wilson_addition` evaluates the three expressions of the
-degree-raising addition formula (whose s = t = 1 case is the
-biorthogonality itself).
+`wilson_addition` evaluates the three expressions of the degree-raising
+addition formula (whose s = t = 1 case is the biorthogonality itself).
 """
 
 from __future__ import annotations
@@ -164,44 +162,6 @@ def rational_S(m: int, k: int, quad: ParamQuad) -> complex:
     return pref * entry_series(ParamQuad(c, d, a, b, N, quad.ctx), k, m)
 
 
-def rational_R_from_matrix(n: int, k: int, quad: ParamQuad, row_entry: complex) -> complex:
-    """R_n(mu(k)) rebuilt from the matrix entry R_n^k(a, b, c, d; N)."""
-    a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-    q = quad.ctx.q
-    num = (
-        scalar.qpochs(q, n, q ** (-N))
-        * scalar.qpochs(q, k, q ** (k - N) * c / d, b * c)
-        * scalar.qpochs(q, N - k, q ** (-k) * d / c, b * d)
-        * scalar.qpochs(q, N, c * d)
-    )
-    den = (
-        scalar.qpochs(q, k, b / d)
-        * scalar.qpochs(q, N - n, b * c, b * d)
-        * scalar.qpochs(q, N - k, b / c)
-        * (c * d) ** n
-        * scalar.q_binomial(N, k, q)
-    )
-    return q ** (k * (N - k)) * num / den * row_entry
-
-
-def rational_S_from_matrix(m: int, k: int, quad: ParamQuad, back_entry: complex) -> complex:
-    """S_m(mu(k)) rebuilt from the reverse entry R_k^m(c, d, a, b; N)."""
-    a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-    q = quad.ctx.q
-    num = (
-        scalar.qpochs(q, m, q ** (-N), a * c, a * d, q ** (m - N) * a / b)
-        * scalar.qpochs(q, N - m, q ** (-m) * b / a)
-        * scalar.qpochs(q, N, a * b)
-    )
-    den = (
-        scalar.qpochs(q, k, a * c, c / a)
-        * scalar.qpochs(q, N - k, a * d, d / a)
-        * (a * b) ** m
-        * scalar.q_binomial(N, m, q)
-    )
-    return q ** (m * (N - m)) * num / den * back_entry
-
-
 def eto_weight(k: int, quad: ParamQuad) -> complex:
     a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
     _require_wilson(quad, k)
@@ -242,48 +202,6 @@ def eto_pairing_sum(n: int, m: int, quad: ParamQuad) -> tuple:
         total += term
         scale = max(scale, abs(term))
     return total, scale
-
-
-# -- parameter dictionary -------------------------------------------------------
-
-
-def quad_to_wilson(quad: ParamQuad) -> WilsonParams:
-    """The Wilson parameters of a quad at nome zero.
-
-    The square roots s = sqrt(c/d) and u = sqrt(c*d) are tied so that
-    s*u = c, which fixes a consistent branch.  With `wilson_to_quad` the
-    round trip closes up to a global sign that none of the evaluated
-    quantities depend on.
-    """
-    _require_wilson(quad)
-    a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
-    q, qh = quad.ctx.q, quad.ctx.q_half
-    s = cmath.sqrt(c / d)
-    u = c / s
-    return WilsonParams(
-        qh ** (-N) * s,
-        qh ** (-N) / s,
-        qh**N * a * u,
-        q * qh ** (-N) / (b * u),
-        qh**N * b / u,
-        qh**N * u / a,
-        q,
-        N,
-    )
-
-
-def wilson_to_quad(wp: WilsonParams) -> ParamQuad:
-    """The quad of a Wilson parameter set; inverse of `quad_to_wilson`."""
-    a, b, c, d, f, q = wp.a, wp.b, wp.c, wp.d, wp.f, wp.q
-    root = cmath.sqrt(c * f)
-    return ParamQuad(
-        cmath.sqrt(c / f),
-        q / (d * root),
-        a * root,
-        b * root,
-        wp.N,
-        make_context(q),
-    )
 
 
 # -- addition formula -----------------------------------------------------------

@@ -17,7 +17,6 @@ from ellsixj.basis import (
     h_pair_fn,
     h_value,
     solve_in_basis,
-    wn_membership,
     xi_from_x,
 )
 from ellsixj.errors import DomainError, IllConditionedError
@@ -130,6 +129,27 @@ def test_batched_rows_match_single_solves(ell_ctx):
     assert batch.shape == (N + 1, N + 1)
     for k, f in enumerate(fs):
         assert np.array_equal(batch[k], expand_by_solve([f], pair, ell_ctx)[0])
+
+
+def wn_membership(f, N, ctx):
+    """Max relative residual of the two defining symmetries of the space.
+
+    f(xi) = f(1/xi)  and, for p != 0,  f(p xi) = (p xi^2)^{-N} f(xi).
+    The input is a function of xi (not of x).
+    """
+    worst = 0.0
+    for j in range(8):
+        xi = (1.15 + 0.09 * (j % 3)) * cmath.exp(2j * math.pi * (j + 0.23) / 8)
+        fx = f(xi)
+        finv = f(1.0 / xi)
+        scale = max(abs(fx), abs(finv), 1e-300)
+        worst = max(worst, abs(fx - finv) / scale)
+        if ctx.p != 0:
+            fp = f(ctx.p * xi)
+            ref = (ctx.p * xi * xi) ** (-N) * fx
+            scale = max(abs(fp), abs(ref), 1e-300)
+            worst = max(worst, abs(fp - ref) / scale)
+    return worst
 
 
 def test_wn_membership(ell_ctx):

@@ -141,6 +141,20 @@ def test_v12_validation():
         SeriesSpec("PHI", (0.7, q**-2), (0.4,), q, 0.1, 0.5, 2)
 
 
+def test_v12_rejects_a_zero_parameter_at_nonzero_nome():
+    # theta(0; p) is undefined for p != 0, so a zero parameter is a domain
+    # error, as for ParamQuad and scalar.theta; a = 0 with any b = 0 keeps
+    # the spec balanced, so only the zero is at fault
+    q = 0.5
+    with pytest.raises(DomainError, match=r"^theta\(0; p\) is undefined for p != 0$"):
+        eval_V12(v12_spec(0, (0, 1, 1, 1, 1, 1, q**-2), q, 0.1, 2))
+    for slot in range(6):
+        bs = [1, 1, 1, 1, 1, 1, q**-2]
+        bs[slot] = 0
+        with pytest.raises(DomainError, match=r"^theta\(0; p\) is undefined"):
+            v12_spec(0, bs, q, 0.1, 2)
+
+
 def test_series_terms_consistency():
     q = 0.37
     spec = phi_spec((0.9 + 0.2j, q**-4), (0.55,), q, 0.8 - 0.1j, 4)

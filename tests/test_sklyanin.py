@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rel
+from ellsixj import scalar
 from ellsixj.context import make_context
 from ellsixj.errors import DomainError, EvaluationPointError
 from ellsixj.harness import Level, SampleConfig, Shape, sample_generic
@@ -14,9 +15,6 @@ from ellsixj.sklyanin import (
     gevp_check,
     off_band_mass,
     operator_matrix,
-    pfl_residual,
-    riemann_residual,
-    tadd_residual,
 )
 
 
@@ -73,7 +71,6 @@ def test_generalized_eigenvalue_pair(level):
     rep = gevp_check(a, b, c, d2, N, ctx)
     assert max(rep.eigen_residuals) < 1e-9
     assert len(rep.lambdas) == N + 1
-    assert rep.off_band is None
 
 
 def test_gevp_equal_operators_have_unit_eigenvalues():
@@ -83,12 +80,66 @@ def test_gevp_equal_operators_have_unit_eigenvalues():
         assert rel(lam, 1.0) < 1e-12
 
 
-def test_composed_operator_is_tridiagonal():
-    a, b, c, d, N, ctx = _op_data(66, 2, Level.ELLIPTIC)
-    d2 = 1.07 - 0.23j
-    third = (0.78 + 0.31j, 1.19 - 0.41j, 0.64 + 0.52j)
-    rep = gevp_check(a, b, c, d2, N, ctx, third=third)
-    assert rep.off_band is not None and rep.off_band < 1e-8
+# -- theta identities --------------------------------------------------------
+# Reference oracles for the classical identities the operator facts rest on.
+
+
+def pfl_residual(a_list, b_list, xi, ctx):
+    """Relative residual of the partial-fraction theta identity at xi.
+
+    a_list has n entries and b_list n + 2, with prod(a) * prod(b) = 1.
+    """
+    if len(b_list) != len(a_list) + 2:
+        raise DomainError("need two more b's than a's")
+    prod = 1.0 + 0j
+    for v in (*a_list, *b_list):
+        prod *= v
+    if abs(prod - 1) > 1e-8:
+        raise DomainError("need prod(a) * prod(b) = 1")
+    n = len(a_list)
+    lhs = xi ** (-n - 1)
+    for v in (*a_list, *b_list):
+        lhs *= scalar.theta(v * xi, ctx)
+    down = xi ** (n + 1)
+    for v in (*a_list, *b_list):
+        down *= scalar.theta(v / xi, ctx)
+    lhs -= down
+    prod_a = 1.0 + 0j
+    for v in a_list:
+        prod_a *= v
+    rhs = 0j
+    for k in range(n):
+        term = 1.0 + 0j
+        for bj in b_list:
+            term *= scalar.theta(a_list[k] * bj, ctx)
+        for j in range(n):
+            if j != k:
+                term *= scalar.thetas(ctx, a_list[j] * xi, a_list[j] / xi)
+                term /= scalar.theta(a_list[k] / a_list[j], ctx)
+        rhs += term
+    rhs *= (-1) ** n * xi * scalar.theta(xi ** (-2), ctx) / prod_a
+    return rel(lhs, rhs)
+
+
+def riemann_residual(u, v, x, y, ctx):
+    """Relative residual of the three-term theta addition formula."""
+    lhs = v / x * scalar.thetas(ctx, x * y, x / y, u * v, u / v)
+    rhs = scalar.thetas(ctx, u * x, u / x, v * y, v / y) - scalar.thetas(
+        ctx, u * y, u / y, v * x, v / x
+    )
+    return rel(lhs, rhs)
+
+
+def tadd_residual(u, v, x, y):
+    """The three-term addition at nome zero, in plain 1 - z factors.
+
+    Independent of the theta code, so it is a reference for the trig level.
+    """
+    lhs = v / x * (1 - x * y) * (1 - x / y) * (1 - u * v) * (1 - u / v)
+    rhs = (1 - u * x) * (1 - u / x) * (1 - v * y) * (1 - v / y) - (
+        1 - u * y
+    ) * (1 - u / y) * (1 - v * x) * (1 - v / x)
+    return rel(lhs, rhs)
 
 
 def test_theta_identity_pfl():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_quad, rel
+from ellsixj import scalar
 from ellsixj.errors import DomainError
 from ellsixj.harness import SampleConfig, Shape, sample_generic
 from ellsixj.sixj import ParamQuad, R_explicit, entry_series
@@ -13,16 +14,12 @@ from ellsixj.wilson import (
     eto_pairing_sum,
     eto_weight,
     mu,
-    quad_to_wilson,
     rational_R,
-    rational_R_from_matrix,
     rational_S,
-    rational_S_from_matrix,
     wilson_addition,
     wilson_biorth_sum,
     wilson_norm,
     wilson_r,
-    wilson_to_quad,
 )
 
 
@@ -70,6 +67,44 @@ def test_rational_pairing_biorthogonality():
             assert abs(total - want) / max(scale, abs(want)) < 1e-10
 
 
+def rational_R_from_matrix(n, k, quad, row_entry):
+    """R_n(mu(k)) rebuilt from the matrix entry R_n^k(a, b, c, d; N)."""
+    a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
+    q = quad.ctx.q
+    num = (
+        scalar.qpochs(q, n, q ** (-N))
+        * scalar.qpochs(q, k, q ** (k - N) * c / d, b * c)
+        * scalar.qpochs(q, N - k, q ** (-k) * d / c, b * d)
+        * scalar.qpochs(q, N, c * d)
+    )
+    den = (
+        scalar.qpochs(q, k, b / d)
+        * scalar.qpochs(q, N - n, b * c, b * d)
+        * scalar.qpochs(q, N - k, b / c)
+        * (c * d) ** n
+        * scalar.q_binomial(N, k, q)
+    )
+    return q ** (k * (N - k)) * num / den * row_entry
+
+
+def rational_S_from_matrix(m, k, quad, back_entry):
+    """S_m(mu(k)) rebuilt from the reverse entry R_k^m(c, d, a, b; N)."""
+    a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
+    q = quad.ctx.q
+    num = (
+        scalar.qpochs(q, m, q ** (-N), a * c, a * d, q ** (m - N) * a / b)
+        * scalar.qpochs(q, N - m, q ** (-m) * b / a)
+        * scalar.qpochs(q, N, a * b)
+    )
+    den = (
+        scalar.qpochs(q, k, a * c, c / a)
+        * scalar.qpochs(q, N - k, a * d, d / a)
+        * (a * b) ** m
+        * scalar.q_binomial(N, m, q)
+    )
+    return q ** (m * (N - m)) * num / den * back_entry
+
+
 def test_rational_functions_match_matrix_entries():
     # the same rational values must come out of the coefficient matrix rows
     quad = draw_quad(55, 3)
@@ -89,30 +124,6 @@ def test_rational_weights_are_nonzero_on_grid():
     for k in range(quad.N + 1):
         assert abs(eto_weight(k, quad)) > 1e-12
         assert np.isfinite(abs(mu(k, quad)))
-
-
-def test_param_map_round_trip():
-    quad = draw_quad(57, 3)
-    wp = quad_to_wilson(quad)
-    quad2 = wilson_to_quad(wp)
-    assert quad2.N == quad.N
-    # the round trip may flip every parameter's sign at once; nothing
-    # evaluated downstream can see that
-    gap = min(
-        max(
-            abs(s * quad2.a - quad.a), abs(s * quad2.b - quad.b),
-            abs(s * quad2.c - quad.c), abs(s * quad2.d - quad.d),
-        )
-        for s in (1.0, -1.0)
-    )
-    assert gap < 1e-10
-    assert rel(R_explicit(quad2).entries, R_explicit(quad).entries) < 1e-9
-
-
-def test_param_map_rejects_nome(ell_ctx):
-    quad = ParamQuad(0.9 + 0.2j, 1.3, 0.8 - 0.3j, 1.1 + 0.4j, 2, ell_ctx)
-    with pytest.raises(DomainError):
-        quad_to_wilson(quad)
 
 
 def test_rational_functions_reject_nome(ell_ctx):
