@@ -68,16 +68,21 @@ def q_binomial(N: int, k: int, q: complex) -> complex:
     )
 
 
+def theta_arg(x: complex, ctx: EllipticContext) -> complex:
+    """x as the theta kernels take it, once it is checked to be a legal argument."""
+    _check_finite(x)
+    if ctx.p != 0 and x == 0:
+        raise DomainError("theta(0; p) is undefined for p != 0")
+    return complex(x)
+
+
 def theta(x: complex, ctx: EllipticContext) -> complex:
     """theta(x; p) = prod_{j>=0} (1 - p^j x)(1 - p^{j+1}/x), truncated.
 
     The truncation length is ctx.theta_factors; with p == 0 the value is
     exactly 1 - x.
     """
-    _check_finite(x)
-    if ctx.p != 0 and x == 0:
-        raise DomainError("theta(0; p) is undefined for p != 0")
-    return kernels.theta(complex(x), ctx.p, ctx.theta_factors)
+    return kernels.theta(theta_arg(x, ctx), ctx.p, ctx.theta_factors)
 
 
 def elliptic_pochhammer(a: complex, k: int, ctx: EllipticContext) -> complex:

@@ -21,6 +21,13 @@ theta values a matrix.  EXPLICIT's entry series read one
 `kernels.VwpRows` table per matrix, the row builder the single-entry
 series `entry_series` reads too, so the whole matrix costs O(N^2) of them.
 
+A formula asks for all its rows in one call of the batched kernel
+`kernels.thetas`, and `R_explicit` fills its series table in one more.
+The batch equals the scalar kernel bit for bit because it avoids numpy's
+complex arithmetic, which rounds products and quotients differently from
+Python's in the last bit: EXPLICIT's entries are checked against
+RECURRENCE's, and which entries pass can turn on such a bit.
+
 The degenerations of R (q-Racah and Krawtchouk coefficient matrices), the
 parameter symmetries, the limit transitions between levels, and the
 statistical-mechanics normalization live here too.
@@ -155,12 +162,18 @@ def qracah_C(k: int, l: int, quad: ParamQuad) -> complex:
     # q^(l(l-N)) rides as one factor q^(l-N) on each factor of
     # (q^(1-N) b/d)_l, which the interleaving pairs with (q^(l-N) c/d)_l
     shift = q ** (l - N)
-    num = [f * shift for f in _theta_row(q ** (1 - N) * b / d, 0, l, ctx)]
-    num += _theta_row(q ** (1 - N) * b / c, 0, N - l, ctx)
-    num += _theta_row(q ** (1 - k) * a / c, 0, k, ctx)
-    den = _theta_row(q ** (l - N) * c / d, 0, l, ctx)
-    den += _theta_row(q ** (-l) * d / c, 0, N - l, ctx)
-    den += _theta_row(q ** (1 - N) * b / c, 0, k, ctx)
+    bd, bc, ac, cd, dc = _theta_rows(
+        (
+            (q ** (1 - N) * b / d, 0, l),
+            (q ** (1 - N) * b / c, 0, max(N - l, k)),
+            (q ** (1 - k) * a / c, 0, k),
+            (q ** (l - N) * c / d, 0, l),
+            (q ** (-l) * d / c, 0, N - l),
+        ),
+        ctx,
+    )
+    num = [f * shift for f in bd] + bc[: N - l] + ac
+    den = cd + dc + bc[:k]
     pref = scalar.q_binomial(N, l, q) * _balanced_ratio(
         num, den, "q-Racah prefactor"
     )
@@ -224,11 +237,14 @@ def gbt_row(
             f"degenerate expansion pair ({check.condition}): {check.detail}"
         )
     q = ctx.q
-    ac, acq, ab, abq, bc, qq = (
-        _theta_row(base, 0, N, ctx) for base in (a / c, a * c, a / b, a * b, b * c, q)
+    ac, acq, ab, abq, bc, qq, bc_lo, cb_lo = _theta_rows(
+        (
+            *((base, 0, N) for base in (a / c, a * c, a / b, a * b, b * c, q)),
+            (q ** (-N) * b / c, 0, 2 * N),
+            (q ** (-N) * c / b, 0, 2 * N),
+        ),
+        ctx,
     )
-    bc_lo = _theta_row(q ** (-N) * b / c, 0, 2 * N, ctx)
-    cb_lo = _theta_row(q ** (-N) * c / b, 0, 2 * N, ctx)
     out = np.empty(N + 1, dtype=complex)
     for k in range(N + 1):
         shift = q ** (k - N)
@@ -241,19 +257,27 @@ def gbt_row(
 # -- prefactor plumbing ------------------------------------------------------
 
 
-def _theta_row(u: complex, lo: int, hi: int, ctx: EllipticContext) -> list:
-    """theta(u q^m; p) for m = lo, ..., hi - 1, where lo <= 0.
+def _theta_rows(specs, ctx: EllipticContext) -> list:
+    """One row theta(u q^m; p), m = lo, ..., hi - 1, per spec (u, lo, hi), lo <= 0.
 
-    A Pochhammer (u q^j; q, p)_n is the slice [j - lo : j - lo + n], so a
-    formula builds one row per base u and slices it.  From m = 0 up each
-    argument is the previous one times q, as in (u; q, p)_hi itself.  Below
-    0 each takes q^m as one power: there |u q^m| grows along the row and
-    theta(x) ~ -x, so rounding that drifted along a chain of products would
-    pass into the theta value in full.
+    A Pochhammer (u q^j; q, p)_n is the slice [j - lo : j - lo + n] of u's
+    row, so a formula builds one row per base u and slices it.  From m = 0
+    up each argument is the previous one times q, as in (u; q, p)_hi
+    itself.  Below 0 each takes q^m as one power: there |u q^m| grows
+    along the row and theta(x) ~ -x, so rounding that drifted along a
+    chain of products would pass into the theta value in full.  Every
+    argument is checked as `scalar.theta` checks it, and then all rows come
+    from one `kernels.thetas` call.
     """
-    q = ctx.q
-    below = [scalar.theta(u * q**m, ctx) for m in range(lo, 0)]
-    return below + [scalar.theta(x, ctx) for x in kernels.powers(u, q, hi)]
+    q, xs, bounds = ctx.q, [], []
+    for u, lo, hi in specs:
+        if lo < 0:
+            xs += [u * q**m for m in range(lo, 0)]
+        xs += kernels.powers(u, q, hi)
+        bounds.append(len(xs))
+    xs = [scalar.theta_arg(x, ctx) for x in xs]
+    values = kernels.thetas(xs, ctx.p, ctx.theta_factors)
+    return [values[i:j] for i, j in zip([0, *bounds], bounds)]
 
 
 def _require_nonzero(quad: ParamQuad, names: str, route: Route) -> None:
@@ -295,9 +319,9 @@ def _explicit_rows(quad: ParamQuad) -> tuple:
     _require_nonzero(quad, "abcd", Route.EXPLICIT)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
     bases = (b / d, a * c, a / c, b * d, b / c, b * c, c * d, ctx.q)
-    prefactor = (
-        *(_theta_row(u, 0, N, ctx) for u in bases),
-        *(_theta_row(u, 1 - N, N, ctx) for u in (c / d, d / c)),
+    prefactor = _theta_rows(
+        (*((u, 0, N) for u in bases), *((u, 1 - N, N) for u in (c / d, d / c))),
+        ctx,
     )
     alpha = _series_params(quad, 0, 0)[0]  # the same for every entry
     return prefactor, kernels.VwpRows(alpha, ctx.q, ctx.p, N, ctx.theta_factors)
@@ -390,7 +414,22 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     """
     _require_valid(quad)
     rows = _explicit_rows(quad)
-    N = quad.N
+    N, ctx = quad.N, quad.ctx
+    # The entries' series read 3N^2 + 12N + 2 theta values, and those on the
+    # diagonal read every row to its full length.  From a batch's worth at
+    # p != 0 the rows grow at once; a smaller table, or any at p = 0 where
+    # theta is one subtraction, grows as the sums read it.  A fill that
+    # raises leaves the rows to the entries, whose own sums raise and fall
+    # back as without it.
+    if ctx.p != 0 and 3 * N * N + 12 * N + 2 >= kernels.THETA_BATCH:
+        try:
+            rows[1].fill(
+                (key, b, v)
+                for v in range(N + 1)
+                for key, b in _series_params(quad, v, v)[1]
+            )
+        except ZeroDivisionError:
+            pass
     ent = np.empty((N + 1, N + 1), dtype=complex)
     flagged = []
     for k in range(N + 1):
@@ -449,10 +488,13 @@ def _step_rows(quad: ParamQuad) -> tuple:
     """
     _require_nonzero(quad, "cd", Route.PATHS)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
-    return (
-        *(_theta_row(u, 0, N, ctx) for u in (c * d, a / d, a / c)),
-        *(_theta_row(u, 0, 2 * N - 1, ctx) for u in (a * d, b * d, a * c, b * c)),
-        *(_theta_row(u, 1 - N, N, ctx) for u in (c / d, d / c, b / d, b / c)),
+    return _theta_rows(
+        (
+            *((u, 0, N) for u in (c * d, a / d, a / c)),
+            *((u, 0, 2 * N - 1) for u in (a * d, b * d, a * c, b * c)),
+            *((u, 1 - N, N) for u in (c / d, d / c, b / d, b / c)),
+        ),
+        ctx,
     )
 
 

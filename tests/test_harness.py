@@ -74,15 +74,20 @@ def test_every_suite_passes_a_fast_pass():
         assert rep.passed, f"{name}: {rep.max_residual:.3e}"
 
 
-_INJECTED = ("theta", "qpoch", "epoch", "vwp_sum", "phi_sum", "f_sum")
+_INJECTED = ("theta", "thetas", "qpoch", "epoch", "vwp_sum", "phi_sum", "f_sum")
+
+
+def _skew(out):
+    return out * (1.0 + 1e-6 * math.sin(1e3 * (abs(out) + 0.37)))
 
 
 def _skewed(fn):
-    """fn with a relative error of about 1e-6 that varies with its output."""
+    """fn with a relative error of about 1e-6 that varies with its output;
+    a batch kernel's values are skewed one by one."""
 
     def wrapped(*args):
         out = fn(*args)
-        return out * (1.0 + 1e-6 * math.sin(1e3 * (abs(out) + 0.37)))
+        return [_skew(v) for v in out] if isinstance(out, list) else _skew(out)
 
     return wrapped
 

@@ -1,6 +1,7 @@
 """Product-side scalars: shifted factorials, theta, Gaussian binomials."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_kernels_are_called_through_the_backend_module(monkeypatch, ell_ctx):
     # perfbench keys its results on BACKEND and counts kernel calls by
     # replacing the attributes of backend.kernels
     assert ellsixj.BACKEND == "python"
-    for name in ("theta", "qpoch", "epoch", "vwp_sum", "phi_sum", "f_sum"):
+    for name in ("theta", "thetas", "qpoch", "epoch", "vwp_sum", "phi_sum", "f_sum"):
         assert callable(getattr(backend.kernels, name))
     calls = []
     inner = backend.kernels.theta
@@ -221,24 +222,95 @@ def _outcome(fn, *args):
         return f"error: {exc}"
 
 
-def test_shared_vwp_rows_equal_fresh_sums():
-    # sums read from one table, in shuffled order and with keys shared
-    # between and within sums, are bit for bit fresh vwp_sum calls, or
-    # raise the same message; theta(a) = 0 at a = 1, b = 0 under key 0
+def _bits(values) -> bytes:
+    """The exact bits of complex values, signed zeros and NaNs included."""
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _theta_args(rng, n: int) -> list:
+    """Python complex arguments, |x| log-uniform on [1e-12, 1e12]; every
+    fifth on an axis, so both branches of the complex division and signed
+    zero parts come up."""
+    xs = []
+    for i in range(n):
+        r = 10.0 ** rng.uniform(-12, 12)
+        t = rng.uniform(0, 2 * math.pi)
+        x = complex(r * math.cos(t), r * math.sin(t))
+        if i % 5 == 3:
+            x = complex(x.real, -0.0 if i % 2 else 0.0)
+        elif i % 5 == 4:
+            x = complex(-0.0 if i % 2 else 0.0, x.imag)
+        xs.append(x)
+    return xs
+
+
+@pytest.mark.parametrize("p", [0, 1e-300, 0.05, 0.17 + 0.02j, 0.3, 0.29 - 0.1j])
+def test_theta_batch_is_the_scalar_kernel_bit_for_bit(p):
+    # numpy scalars round differently in the scalar kernel too, so the
+    # arguments are Python complex numbers, as every caller passes them
+    kernels = backend.kernels
+    p = complex(p)
+    nfac = theta_factors(p)
+    rng = _rng(41)
+    cut = kernels.THETA_BATCH
+    for n in (0, 1, cut - 1, cut, cut + 1, 3 * cut + 5):
+        xs = _theta_args(rng, n)
+        got = kernels.thetas(xs, p, nfac)
+        assert isinstance(got, list) and len(got) == n
+        assert _bits(got) == _bits([kernels.theta(x, p, nfac) for x in xs]), n
+    # values that overflow come out as the scalar kernel's infinities and NaNs,
+    # because the array arithmetic is the same IEEE operations in the same order
+    xs = [x * 1e200 for x in _theta_args(rng, 2 * cut)]
+    want = [kernels.theta(x, p, nfac) for x in xs]
+    assert _bits(kernels.thetas(xs, p, nfac)) == _bits(want)
+
+
+def test_theta_batch_raises_on_a_zero_argument_as_the_scalar_kernel():
+    kernels = backend.kernels
+    nfac = theta_factors(0.2)
+    for n in (3, 2 * kernels.THETA_BATCH):
+        xs = _theta_args(_rng(43), n)
+        xs[n // 2] = 0j
+        with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
+            kernels.thetas(xs, 0.2 + 0j, nfac)
+    # theta(0; 0) = 1
+    many = kernels.THETA_BATCH
+    assert kernels.thetas([0j] * many, 0j, 0) == [1.0 + 0j] * many
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return f"error: {exc}"
+
+
+def _table(rows) -> bytes:
+    return pickle.dumps(vars(rows))
+
+
+def _check_shared_rows(fill: bool) -> None:
+    """Sums read from one table, in shuffled order and with keys shared
+    between and within sums, are bit for bit fresh vwp_sum calls, or raise
+    the same message; theta(a) = 0 at a = 1, theta(0) at a = 0, and b = 0
+    under key 0.  With `fill` the table is first filled for all its sums;
+    a fill that raises must leave it unchanged."""
     kernels = backend.kernels
     rng = np.random.default_rng(23)
 
     def c(lo, hi):
         return complex(rng.uniform(lo, hi) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
 
-    seen = set()
+    seen, fills = set(), set()
     for case in range(300):
         p = 0j if case % 2 else complex(rng.uniform(0.05, 0.3))
         q, nfac = c(0.3, 0.7), theta_factors(p)
         z = q if p else c(0.5, 1.5)
         a = 1.0 + 0j if case % 10 == 3 else c(0.5, 1.6)
+        if case % 10 == 4:
+            a = 0j
         pool = [c(0.5, 1.6) for _ in range(10)]
-        if case % 10 == 7:
+        if case % 10 in (6, 7):
             pool[0] = 0j
         n_max = int(rng.integers(0, 7))
         sums = []
@@ -246,6 +318,15 @@ def test_shared_vwp_rows_equal_fresh_sums():
             bs = tuple((int(k), pool[k]) for k in rng.integers(0, 10, size=7))
             sums.append((bs, int(rng.integers(0, n_max + 1))))
         rows = kernels.VwpRows(a, q, p, n_max, nfac)
+        if fill:
+            before = _table(rows)
+            try:
+                rows.fill([(key, b, n) for bs, n in sums for key, b in bs])
+                assert _table(rows) != before, case
+                fills.add("grown")
+            except ZeroDivisionError as exc:
+                assert _table(rows) == before, case
+                fills.add(f"error: {exc}")
         for i in rng.permutation(len(sums)):
             bs, n = sums[i]
             want = _outcome(kernels.vwp_sum, a, [b for _, b in bs], q, p, z, n, nfac)
@@ -256,4 +337,19 @@ def test_shared_vwp_rows_equal_fresh_sums():
     assert seen == {
         "error: well-poised parameter b = 0",
         "error: well-poised leading factor theta(a) vanishes",
+        "error: complex division by zero",
     }
+    if fill:
+        assert fills == {
+            "grown",
+            "error: well-poised parameter b = 0",
+            "error: complex division by zero",
+        }
+
+
+def test_shared_vwp_rows_equal_fresh_sums():
+    _check_shared_rows(fill=False)
+
+
+def test_filled_vwp_rows_equal_fresh_sums():
+    _check_shared_rows(fill=True)

@@ -165,14 +165,21 @@ def test_zero_parameters_give_a_matrix_or_a_sixj_error(trig_ctx):
 
 
 def _count_theta(monkeypatch) -> list:
+    """Theta values computed, one per `kernels.theta` call and per argument
+    of a `kernels.thetas` batch."""
     calls = [0]
-    real = kernels.theta
+    one, batch = kernels.theta, kernels.thetas
 
-    def counting(*args):
+    def counting_one(*args):
         calls[0] += 1
-        return real(*args)
+        return one(*args)
 
-    monkeypatch.setattr(kernels, "theta", counting)
+    def counting_batch(xs, *args):
+        calls[0] += len(xs)
+        return batch(xs, *args)
+
+    monkeypatch.setattr(kernels, "theta", counting_one)
+    monkeypatch.setattr(kernels, "thetas", counting_batch)
     return calls
 
 
