@@ -24,6 +24,8 @@ Conventions:
   2.4 they differ from CPython's `complex` in the last bit on 46% of
   random products and 43% of quotients.  Route checks compare matrices
   from different routes, and their pass/fail flags turn on such bits.
+  Where CPython versions differ (the sign of a zero part of `1.0 - z`
+  and `1.0 / x`), it follows the running interpreter.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ SINGULAR_EPS = 1e-13
 # costs 5-12 us a value for p from 0.05 to 0.3 (15 to 33 factor pairs);
 # the batch pass broke even with it at 24-32 values and was 1.2-1.9x
 # faster at 40 (2-core x86-64 machine, Python 3.11, numpy 2.4).
-# `sixj.R_explicit` fills its series table from this many values too.
+# `VwpRows.fill` grows nothing for fewer values than this either.
 THETA_BATCH = 40
 # Values one block of factor rows holds: `thetas` builds the rows
 # 1 - p^j x and 1 - p^(j+1) / x of THETA_BLOCK // n factor pairs at a time
@@ -74,14 +76,14 @@ def thetas(xs: list, p: complex, nfac: int) -> list:
 
     From THETA_BATCH arguments at p != 0 the values come from one numpy
     pass over real and imaginary float64 arrays, with CPython's formulas:
-    a b = (ar br - ai bi, ar bi + ai br), 1 - z = (1 - zr, 0 - zi), and
-    1 / x by Smith's two-branch division (`_Py_c_quot`).  The factors
+    a b = (ar br - ai bi, ar bi + ai br), and `1.0 - z` and `1.0 / x` as
+    the running interpreter forms them (see `_NEG`).  The factors
     j = 0 .. nfac-1 multiply into each value in j order, as in `theta`, and
     a zero argument raises as `theta` does.
     """
     if p == 0:
         return [1.0 - x for x in xs]  # `theta` at p == 0
-    if len(xs) < THETA_BATCH:
+    if len(xs) < THETA_BATCH or _RECIP is None:
         return [_theta(x, p, nfac) for x in xs]
     z = np.array(xs, dtype=complex)
     xr, xi = z.real.copy(), z.imag.copy()
@@ -93,13 +95,7 @@ def thetas(xs: list, p: complex, nfac: int) -> list:
     pr = np.array([w.real for w in pw])[:, None]
     pi = np.array([w.imag for w in pw])[:, None]
     with np.errstate(all="ignore"):
-        # 1 / x as _Py_c_quot divides (1 + 0j) / x, dividing through by
-        # the larger of |xr| and |xi|
-        big = abs(xr) >= abs(xi)
-        ratio = np.where(big, xi / xr, xr / xi)
-        denom = np.where(big, xr + xi * ratio, xr * ratio + xi)
-        ir = np.where(big, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom
-        ii = np.where(big, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / denom
+        ir, ii = _RECIP(xr, xi)
         accr, acci = np.ones_like(xr), np.zeros_like(xr)
         rows = max(1, min(nfac, THETA_BLOCK // len(xs)))
         buf = np.empty((6, rows, len(xs)))
@@ -113,7 +109,13 @@ def thetas(xs: list, p: complex, nfac: int) -> list:
             for fr, fi in zip(ar, ai):
                 _mul(accr, acci, fr, fi, t0, u0)
     z.real, z.imag = accr, acci
-    return z.tolist()
+    out = z.tolist()
+    # an overflow that left a NaN part is recomputed by the scalar kernel,
+    # since an interpreter may recover infinities there (C11 Annex G) where
+    # the array product does not
+    for i in np.flatnonzero(np.isnan(accr) | np.isnan(acci)).tolist():
+        out[i] = _theta(xs[i], p, nfac)
+    return out
 
 
 def _one_minus(cr, ci, xr, xi, outr, outi, t) -> None:
@@ -125,7 +127,7 @@ def _one_minus(cr, ci, xr, xi, outr, outi, t) -> None:
     np.multiply(cr, xi, out=outi)
     np.multiply(ci, xr, out=t)
     np.add(outi, t, out=outi)
-    np.subtract(0.0, outi, out=outi)
+    _NEG(outi, out=outi)
 
 
 def _mul(ar, ai, br, bi, t, u) -> None:
@@ -139,6 +141,82 @@ def _mul(ar, ai, br, bi, t, u) -> None:
     np.subtract(ar, u, out=ar)
     np.multiply(ai, br, out=ai)
     np.add(t, ai, out=ai)
+
+
+# CPython up to 3.13 promotes the real 1.0 of `1.0 - z` and `1.0 / x` to
+# 1 + 0j; CPython 3.14 follows C99's mixed real/complex rules instead.  The
+# two differ only in the sign of a zero part, which square roots and
+# logarithms read on their branch cuts, so `thetas` uses the forms of the
+# running interpreter: `_NEG` is the imaginary part of 1 - z from that of
+# z, and `_RECIP` is 1 / x.  Both are chosen once, on signed-zero cases;
+# where no form matches the interpreter, `_RECIP` is None and `thetas`
+# loops `theta`.
+
+
+def _neg_promoted(v, out):
+    """0 - v, the imaginary part of (1 + 0j) - z."""
+    return np.subtract(0.0, v, out=out)
+
+
+def _recip_promoted(xr, xi) -> tuple:
+    """(1 + 0j) / x by `_Py_c_quot`: divided through by the larger of |xr|
+    and |xi|."""
+    big = abs(xr) >= abs(xi)
+    ratio = np.where(big, xi / xr, xr / xi)
+    denom = np.where(big, xr + xi * ratio, xr * ratio + xi)
+    ir = np.where(big, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom
+    ii = np.where(big, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / denom
+    return ir, ii
+
+
+def _recip_real(xr, xi) -> tuple:
+    """1 / x for a real 1: `_recip_promoted` without the zero's terms."""
+    big = abs(xr) >= abs(xi)
+    ratio = np.where(big, xi / xr, xr / xi)
+    denom = np.where(big, xr + xi * ratio, xr * ratio + xi)
+    return np.where(big, 1.0, ratio) / denom, np.where(big, -ratio, -1.0) / denom
+
+
+def _matching(want: list, forms: tuple, apply):
+    """The first of `forms` for which `apply(form)`, a pair of real and
+    imaginary arrays, holds the bits of the complex values `want`."""
+    bits = np.array(want, dtype=complex).tobytes()
+    for form in forms:
+        got = np.empty(len(want), dtype=complex)
+        with np.errstate(all="ignore"):
+            got.real, got.imag = apply(form)
+        if got.tobytes() == bits:
+            return form
+    return None
+
+
+def _rules(probes: list) -> tuple:
+    """(_NEG, _RECIP) as the running interpreter computes 1.0 - z and
+    1.0 / x on the nonzero complex `probes`; _RECIP is None if either has
+    no matching form."""
+    z = np.array(probes, dtype=complex)
+    zr, zi = z.real.copy(), z.imag.copy()
+    neg = _matching(
+        [1.0 - x for x in probes],
+        (_neg_promoted, np.negative),
+        lambda f: (1.0 - zr, f(zi, out=np.empty_like(zi))),
+    )
+    recip = _matching(
+        [1.0 / x for x in probes], (_recip_promoted, _recip_real), lambda f: f(zr, zi)
+    )
+    if neg is None:
+        return _neg_promoted, None
+    return neg, recip
+
+
+_NEG, _RECIP = _rules(
+    [
+        complex(r, i)
+        for r in (2.0, 0.0, -0.0, -3.0)
+        for i in (0.0, -0.0, 5.0, -1.0)
+        if r or i
+    ]
+)
 
 
 def qpoch(a: complex, q: complex, k: int) -> complex:
@@ -182,10 +260,8 @@ class VwpRows:
     to the longest sum that has read it, so sums of up to n_max + 1 terms
     that share parameters share their theta values, and a caller that
     reads a few sums pays for those.  A caller that knows which sums it
-    will read can `fill` their rows first, in one `thetas` call, and a sum
-    at p != 0 that finds its table a batch's worth behind fills it so;
-    otherwise rows grow value by value through `theta`, which costs less
-    for a few values.
+    will read can `fill` their rows first, in one `thetas` call; otherwise
+    rows grow value by value through `theta` as the sums read them.
     """
 
     def __init__(self, a: complex, q: complex, p: complex, n_max: int, nfac: int):
@@ -206,9 +282,13 @@ class VwpRows:
         A spec (key, b, n) grows the rows of key to n values; the rows of a
         and q grow to the largest n and the well-poised row one further.
         The values are those the sums would compute, so filling changes when
-        theta values are computed, never how.  A fill that raises leaves
+        theta values are computed, never how.  At p = 0, where theta is one
+        subtraction, or for fewer than THETA_BATCH values, it grows nothing:
+        the sums' own growth costs less there.  A fill that raises leaves
         the table unchanged.
         """
+        if self.p == 0:
+            return
         longest = {}  # key -> (b, the longest n asked of its rows)
         for key, b, n in specs:
             if b == 0:
@@ -216,25 +296,34 @@ class VwpRows:
             if n > longest.get(key, (b, -1))[1]:
                 longest[key] = (b, n)
         top = max((n for _, n in longest.values()), default=0)
+        xs = self.wp_args[len(self.wp) : top + 1]
+        at = len(xs)
+        # the values to compute, counted before any argument is formed
+        need = at + max(0, top - len(self.a_row)) + max(0, top - len(self.q_row))
+        for key, (_, n) in longest.items():
+            need += max(0, n - len(self.num.get(key, ())))
+            need += max(0, n - len(self.den.get(key, ())))
+        if need < THETA_BATCH:
+            return
         a, q = self.a, self.q
-        rows, fresh = [(self.a_row, a, top), (self.q_row, q, top)], []
+        grow = [
+            (row, u, self.qk[len(row) : top])
+            for row, u in ((self.a_row, a), (self.q_row, q))
+        ]
+        fresh = []
         for key, (b, n) in longest.items():
             for table, u in ((self.num, b), (self.den, a * q / b)):
                 row = table.get(key)
                 if row is None:
                     row = []
                     fresh.append((table, key, row))
-                rows.append((row, u, n))
-        xs = self.wp_args[len(self.wp) : top + 1]
-        at = len(xs)
-        xs += [u * x for row, u, n in rows for x in self.qk[len(row) : n]]
+                grow.append((row, u, self.qk[len(row) : n]))
+        xs += [u * x for _, u, qk in grow for x in qk]
         values = thetas(xs, self.p, self.nfac)
         self.wp += values[:at]
-        for row, _, n in rows:
-            grow = n - len(row)
-            if grow > 0:
-                row += values[at : at + grow]
-                at += grow
+        for row, _, qk in grow:
+            row += values[at : at + len(qk)]
+            at += len(qk)
         for table, key, row in fresh:
             table[key] = row
 
@@ -253,11 +342,6 @@ class VwpRows:
             if b == 0:
                 raise ZeroDivisionError("well-poised parameter b = 0")
         wp = self.wp
-        # a table that lags this sum by a batch's worth of theta values (its
-        # rows grow together with the well-poised one) fills them at once;
-        # a few values come cheaper one at a time, and at p = 0 always do
-        if p != 0 and (n + 1 - len(wp)) * (2 * len(bs) + 3) >= THETA_BATCH:
-            self.fill((key, b, n) for key, b in bs)
         for x in self.wp_args[len(wp) : n + 1]:
             wp.append(theta(x, p, nfac))
         num = [self._row(self.a_row, a, n)]

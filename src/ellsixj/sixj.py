@@ -22,7 +22,8 @@ theta values a matrix.  EXPLICIT's entry series read one
 series `entry_series` reads too, so the whole matrix costs O(N^2) of them.
 
 A formula asks for all its rows in one call of the batched kernel
-`kernels.thetas`, and `R_explicit` fills its series table in one more.
+`kernels.thetas`, and `R_explicit` fills its series table in one more
+where the table is large enough for the batch to pay.
 The batch equals the scalar kernel bit for bit because it avoids numpy's
 complex arithmetic, which rounds products and quotients differently from
 Python's in the last bit: EXPLICIT's entries are checked against
@@ -414,22 +415,19 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     """
     _require_valid(quad)
     rows = _explicit_rows(quad)
-    N, ctx = quad.N, quad.ctx
-    # The entries' series read 3N^2 + 12N + 2 theta values, and those on the
-    # diagonal read every row to its full length.  From a batch's worth at
-    # p != 0 the rows grow at once; a smaller table, or any at p = 0 where
-    # theta is one subtraction, grows as the sums read it.  A fill that
-    # raises leaves the rows to the entries, whose own sums raise and fall
-    # back as without it.
-    if ctx.p != 0 and 3 * N * N + 12 * N + 2 >= kernels.THETA_BATCH:
-        try:
-            rows[1].fill(
-                (key, b, v)
-                for v in range(N + 1)
-                for key, b in _series_params(quad, v, v)[1]
-            )
-        except ZeroDivisionError:
-            pass
+    N = quad.N
+    # The diagonal entries' series read every row of the table to its full
+    # length, so filling for them grows the table at once (where that pays).
+    # A fill that raises leaves the rows to the entries, whose own sums
+    # raise and fall back as without it.
+    try:
+        rows[1].fill(
+            (key, b, v)
+            for v in range(N + 1)
+            for key, b in _series_params(quad, v, v)[1]
+        )
+    except ZeroDivisionError:
+        pass
     ent = np.empty((N + 1, N + 1), dtype=complex)
     flagged = []
     for k in range(N + 1):
