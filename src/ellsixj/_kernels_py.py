@@ -15,17 +15,20 @@ Conventions:
 - every sum runs the term recurrence forward (O(n) factor updates per
   term), never recomputing Pochhammers from scratch,
 - very-well-poised sums read their theta values from `VwpRows`, the one
-  row builder of both the single sum `vwp_sum` and `sixj.R_explicit`,
-  whose entry series of one matrix share one table,
+  row builder of both the single sum `vwp_sum` and `sixj.R_explicit`'s
+  per-entry path, whose entry series of one matrix share one table,
 - `thetas` computes a batch of theta values in one numpy pass, equal bit
   for bit to `theta` on each argument.  It carries real and imaginary
-  parts as float64 arrays and spells out CPython's own complex formulas,
-  because numpy's complex ufuncs round differently: on x86-64 with numpy
-  2.4 they differ from CPython's `complex` in the last bit on 46% of
-  random products and 43% of quotients.  Route checks compare matrices
-  from different routes, and their pass/fail flags turn on such bits.
-  Where CPython versions differ (the sign of a zero part of `1.0 - z`
-  and `1.0 / x`), it follows the running interpreter.
+  parts as float64 arrays and spells out CPython's own complex formulas
+  (`_mul`, `_quot`), because numpy's complex ufuncs round differently: on
+  x86-64 with numpy 2.4 they differ from CPython's `complex` in the last
+  bit on 46% of random products and 43% of quotients.  Route checks
+  compare matrices from different routes, and their pass/fail flags turn
+  on such bits.  Where CPython versions differ (the sign of a zero part
+  of `1.0 - z` and `1.0 / x`), it follows the running interpreter.
+  `sixj.R_explicit`'s whole-matrix path does all its arithmetic with
+  `_mul` and `_quot` too, where EXACT_ARRAYS says they are the running
+  interpreter's `*` and `/`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ THETA_BATCH = 40
 # R_explicit matrices (N = 4 to 16) peak RSS rose 0.3 MB with this budget
 # against no batching, 0.5 MB with 8 pairs a block and 2.4 MB with all
 # pairs at once; the few blocks of a small batch made it 12-30% faster
-# than 8 pairs a block at 40 to 300 arguments.
+# than 8 pairs a block at 40 to 300 arguments.  `sixj.R_explicit`'s
+# whole-matrix path gathers its prefactor factors in blocks of this many
+# values too.
 THETA_BLOCK = 4096
 
 
@@ -133,14 +138,54 @@ def _one_minus(cr, ci, xr, xi, outr, outi, t) -> None:
 def _mul(ar, ai, br, bi, t, u) -> None:
     """a *= b in place, as CPython multiplies: (ar br - ai bi, ar bi + ai br).
 
-    t and u are scratch of a's shape.
+    t and u are scratch of a's shape.  (Outputs are passed by position: a
+    keyword costs more than the arithmetic on the small arrays of
+    `sixj._explicit_matrix`.)
     """
-    np.multiply(ar, bi, out=t)
-    np.multiply(ai, bi, out=u)
-    np.multiply(ar, br, out=ar)
-    np.subtract(ar, u, out=ar)
-    np.multiply(ai, br, out=ai)
-    np.add(t, ai, out=ai)
+    np.multiply(ar, bi, t)
+    np.multiply(ai, bi, u)
+    np.multiply(ar, br, ar)
+    np.subtract(ar, u, ar)
+    np.multiply(ai, br, ai)
+    np.add(t, ai, ai)
+
+
+def _divisor(br, bi) -> tuple:
+    """(s, t, d) with a / b = ((ar s + ai t) / d, (ai s - ar t) / d).
+
+    That is CPython's `_Py_c_quot`, which divides through by the larger
+    of |br| and |bi|: with ratio = bi / br, d = br + bi ratio and s, t =
+    1, ratio where |br| >= |bi|; with ratio = br / bi, d = br ratio + bi
+    and s, t = ratio, 1 elsewhere (x * 1.0 is x, bit for bit).  A zero b,
+    where CPython raises, is the caller's to exclude.
+    """
+    big = abs(br) >= abs(bi)
+    u, v = np.where(big, br, bi), np.where(big, bi, br)
+    ratio = v / u
+    return np.where(big, 1.0, ratio), np.where(big, ratio, 1.0), u + v * ratio
+
+
+def _div(ar, ai, s, t, d, u, v) -> None:
+    """a /= b in place, for b's `_divisor` (s, t, d); u and v are scratch
+    of a's shape."""
+    np.multiply(ar, t, u)
+    np.multiply(ai, t, v)
+    np.multiply(ar, s, ar)
+    np.add(ar, v, ar)
+    np.multiply(ai, s, ai)
+    np.subtract(ai, u, ai)
+    np.divide(ar, d, ar)
+    np.divide(ai, d, ai)
+
+
+def _quot(ar, ai, br, bi) -> tuple:
+    """a / b as CPython divides complex numbers; b != 0."""
+    s, t, d = _divisor(br, bi)
+    shape = np.broadcast_shapes(np.shape(ar), np.shape(ai), np.shape(d))
+    qr, qi, u, v = (np.empty(shape) for _ in range(4))
+    qr[...], qi[...] = ar, ai
+    _div(qr, qi, s, t, d, u, v)
+    return qr, qi
 
 
 # CPython up to 3.13 promotes the real 1.0 of `1.0 - z` and `1.0 / x` to
@@ -148,9 +193,14 @@ def _mul(ar, ai, br, bi, t, u) -> None:
 # two differ only in the sign of a zero part, which square roots and
 # logarithms read on their branch cuts, so `thetas` uses the forms of the
 # running interpreter: `_NEG` is the imaginary part of 1 - z from that of
-# z, and `_RECIP` is 1 / x.  Both are chosen once, on signed-zero cases;
-# where no form matches the interpreter, `_RECIP` is None and `thetas`
-# loops `theta`.
+# z, and `_RECIP` is 1 / x.  Both are chosen once, on signed-zero cases,
+# and `_mul` and `_quot` are checked against complex * and / there and on
+# overflowing pairs, where an interpreter may recover infinities (C11
+# Annex G) that the plain formulas leave as NaN, or may fuse a multiply
+# and an add.  Where no form matches the interpreter on finite values,
+# `_RECIP` is None and `thetas` loops `theta`; where `_mul` or `_quot`
+# differs anywhere, EXACT_ARRAYS is False and `sixj.R_explicit` keeps its
+# per-entry loop.
 
 
 def _neg_promoted(v, out):
@@ -159,14 +209,8 @@ def _neg_promoted(v, out):
 
 
 def _recip_promoted(xr, xi) -> tuple:
-    """(1 + 0j) / x by `_Py_c_quot`: divided through by the larger of |xr|
-    and |xi|."""
-    big = abs(xr) >= abs(xi)
-    ratio = np.where(big, xi / xr, xr / xi)
-    denom = np.where(big, xr + xi * ratio, xr * ratio + xi)
-    ir = np.where(big, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom
-    ii = np.where(big, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / denom
-    return ir, ii
+    """(1 + 0j) / x."""
+    return _quot(1.0, 0.0, xr, xi)
 
 
 def _recip_real(xr, xi) -> tuple:
@@ -177,25 +221,50 @@ def _recip_real(xr, xi) -> tuple:
     return np.where(big, 1.0, ratio) / denom, np.where(big, -ratio, -1.0) / denom
 
 
+def _parts(values: list) -> tuple:
+    z = np.array(values, dtype=complex)
+    return z.real.copy(), z.imag.copy()
+
+
+def _same(want: list, re, im) -> bool:
+    """Whether (re, im) hold the bits of the complex values `want`."""
+    got = np.empty(len(want), dtype=complex)
+    got.real, got.imag = re, im
+    return got.tobytes() == np.array(want, dtype=complex).tobytes()
+
+
 def _matching(want: list, forms: tuple, apply):
     """The first of `forms` for which `apply(form)`, a pair of real and
     imaginary arrays, holds the bits of the complex values `want`."""
-    bits = np.array(want, dtype=complex).tobytes()
     for form in forms:
-        got = np.empty(len(want), dtype=complex)
         with np.errstate(all="ignore"):
-            got.real, got.imag = apply(form)
-        if got.tobytes() == bits:
+            re, im = apply(form)
+        if _same(want, re, im):
             return form
     return None
 
 
-def _rules(probes: list) -> tuple:
-    """(_NEG, _RECIP) as the running interpreter computes 1.0 - z and
-    1.0 / x on the nonzero complex `probes`; _RECIP is None if either has
-    no matching form."""
-    z = np.array(probes, dtype=complex)
-    zr, zi = z.real.copy(), z.imag.copy()
+def _products_match(pairs: list) -> bool:
+    """Whether `_mul` and `_quot` give complex x * y and x / y on `pairs`."""
+    (xr, xi), (yr, yi) = _parts([x for x, _ in pairs]), _parts([y for _, y in pairs])
+    with np.errstate(all="ignore"):
+        qr, qi = _quot(xr, xi, yr, yi)
+        _mul(xr, xi, yr, yi, np.empty_like(xr), np.empty_like(xr))
+    return _same([x * y for x, y in pairs], xr, xi) and _same(
+        [x / y for x, y in pairs], qr, qi
+    )
+
+
+def _rules(probes: list, wide: list) -> tuple:
+    """(_NEG, _RECIP, EXACT_ARRAYS) for the running interpreter.
+
+    `_NEG` and `_RECIP` form 1.0 - z and 1.0 / x as it does on the nonzero
+    complex `probes`; _RECIP is None if either has no matching form or if
+    `_mul` and `_quot` miss a product or quotient of two probes.
+    EXACT_ARRAYS says whether they hold on the pairs of `wide` too, whose
+    values overflow.
+    """
+    zr, zi = _parts(probes)
     neg = _matching(
         [1.0 - x for x in probes],
         (_neg_promoted, np.negative),
@@ -204,19 +273,25 @@ def _rules(probes: list) -> tuple:
     recip = _matching(
         [1.0 / x for x in probes], (_recip_promoted, _recip_real), lambda f: f(zr, zi)
     )
-    if neg is None:
-        return _neg_promoted, None
-    return neg, recip
+    if neg is None or not _products_match([(x, y) for x in probes for y in probes]):
+        return _neg_promoted, None, False
+    return neg, recip, recip is not None and _products_match(
+        [(x, y) for x in wide for y in wide if y]
+    )
 
 
-_NEG, _RECIP = _rules(
-    [
-        complex(r, i)
-        for r in (2.0, 0.0, -0.0, -3.0)
-        for i in (0.0, -0.0, 5.0, -1.0)
-        if r or i
-    ]
-)
+_SIGNED = [
+    complex(r, i)
+    for r in (2.0, 0.0, -0.0, -3.0, 0.7071067811865476)
+    for i in (0.0, -0.0, 5.0, -1.0, -0.3333333333333333)
+    if r or i
+]
+_WIDE = _SIGNED + [
+    complex(r, i)
+    for r in (1e300, -1.5e308, 1e-300, 0.0)
+    for i in (1e300, -0.0, 1.5e308, -1e-310)
+]
+_NEG, _RECIP, EXACT_ARRAYS = _rules(_SIGNED, _WIDE)
 
 
 def qpoch(a: complex, q: complex, k: int) -> complex:

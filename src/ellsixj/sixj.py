@@ -22,12 +22,13 @@ theta values a matrix.  EXPLICIT's entry series read one
 series `entry_series` reads too, so the whole matrix costs O(N^2) of them.
 
 A formula asks for all its rows in one call of the batched kernel
-`kernels.thetas`, and `R_explicit` fills its series table in one more
-where the table is large enough for the batch to pay.
-The batch equals the scalar kernel bit for bit because it avoids numpy's
-complex arithmetic, which rounds products and quotients differently from
-Python's in the last bit: EXPLICIT's entries are checked against
-RECURRENCE's, and which entries pass can turn on such a bit.
+`kernels.thetas`.  The batch equals the scalar kernel bit for bit because
+it avoids numpy's complex arithmetic, which rounds products and quotients
+differently from Python's in the last bit: EXPLICIT's entries are checked
+against RECURRENCE's, and which entries pass can turn on such a bit.  From
+N = EXPLICIT_MATRIX_N up `R_explicit` computes every entry at once, on
+float64 arrays with Python's complex formulas spelled out, and gets the
+per-entry loop's bits.
 
 The degenerations of R (q-Racah and Krawtchouk coefficient matrices), the
 parameter symmetries, the limit transitions between levels, and the
@@ -262,23 +263,31 @@ def _theta_rows(specs, ctx: EllipticContext) -> list:
     """One row theta(u q^m; p), m = lo, ..., hi - 1, per spec (u, lo, hi), lo <= 0.
 
     A Pochhammer (u q^j; q, p)_n is the slice [j - lo : j - lo + n] of u's
-    row, so a formula builds one row per base u and slices it.  From m = 0
-    up each argument is the previous one times q, as in (u; q, p)_hi
-    itself.  Below 0 each takes q^m as one power: there |u q^m| grows
-    along the row and theta(x) ~ -x, so rounding that drifted along a
-    chain of products would pass into the theta value in full.  Every
-    argument is checked as `scalar.theta` checks it, and then all rows come
-    from one `kernels.thetas` call.
+    row, so a formula builds one row per base u and slices it.  The
+    arguments are those of `_theta_args`, and all rows come from one
+    `kernels.thetas` call.
     """
-    q, xs, bounds = ctx.q, [], []
+    xs, ends = _theta_args(specs, ctx)
+    values = kernels.thetas(xs, ctx.p, ctx.theta_factors)
+    return [values[i:j] for i, j in zip([0, *ends], ends)]
+
+
+def _theta_args(specs, ctx: EllipticContext) -> tuple:
+    """The arguments of `_theta_rows`, row after row, and where each row ends.
+
+    From m = 0 up each argument is the previous one times q, as in
+    (u; q, p)_hi itself.  Below 0 each takes q^m as one power: there
+    |u q^m| grows along the row and theta(x) ~ -x, so rounding that drifted
+    along a chain of products would pass into the theta value in full.
+    Every argument is checked as `scalar.theta` checks it.
+    """
+    q, xs, ends = ctx.q, [], []
     for u, lo, hi in specs:
         if lo < 0:
             xs += [u * q**m for m in range(lo, 0)]
         xs += kernels.powers(u, q, hi)
-        bounds.append(len(xs))
-    xs = [scalar.theta_arg(x, ctx) for x in xs]
-    values = kernels.thetas(xs, ctx.p, ctx.theta_factors)
-    return [values[i:j] for i, j in zip([0, *bounds], bounds)]
+        ends.append(len(xs))
+    return [scalar.theta_arg(x, ctx) for x in xs], ends
 
 
 def _require_nonzero(quad: ParamQuad, names: str, route: Route) -> None:
@@ -292,40 +301,47 @@ def _balanced_ratio(num: list, den: list, what: str) -> complex:
     """Product(num)/product(den) with interleaved factors.
 
     Interleaving keeps the running magnitude near its final size, which
-    matters once pochhammer lengths reach a few dozen factors.
+    matters once pochhammer lengths reach a few dozen factors.  Every
+    formula pairs as many numerator factors as denominator ones.
     """
+    if len(num) != len(den):
+        raise ValueError(
+            f"{what}: {len(num)} numerator and {len(den)} denominator factors"
+        )
     acc = 1.0 + 0j
-    for i in range(max(len(num), len(den))):
-        if i < len(num):
-            acc *= num[i]
-        if i < len(den):
-            f = den[i]
-            if abs(f) < kernels.SINGULAR_EPS:
-                raise SingularParameterError(f"{what}: denominator factor ~ 0")
-            acc /= f
+    for f, g in zip(num, den):
+        acc *= f
+        if abs(g) < kernels.SINGULAR_EPS:
+            raise SingularParameterError(f"{what}: denominator factor ~ 0")
+        acc /= g
     return acc
 
 
 # -- route EXPLICIT ----------------------------------------------------------
 
 
-def _explicit_rows(quad: ParamQuad) -> tuple:
-    """The theta rows every EXPLICIT entry of `quad` reads.
+def _prefactor_specs(quad: ParamQuad) -> tuple:
+    """The `_theta_rows` specs of EXPLICIT's prefactors: m = 0 .. N-1 for u
+    in b/d, ac, a/c, bd, b/c, bc, cd, q, and m = 1-N .. N-1 for u in c/d,
+    d/c; 12N - 2 theta values."""
+    a, b, c, d, N = quad.a, quad.b, quad.c, quad.d, quad.N
+    bases = (b / d, a * c, a / c, b * d, b / c, b * c, c * d, quad.ctx.q)
+    return (*((u, 0, N) for u in bases), *((u, 1 - N, N) for u in (c / d, d / c)))
 
-    The prefactor rows theta(u q^m; p): m = 0 .. N-1 for u in b/d, ac, a/c,
-    bd, b/c, bc, cd, q, and m = 1-N .. N-1 for u in c/d, d/c; 12N - 2
-    theta values.  Then the `kernels.VwpRows` table of the entry series,
-    whose rows grow as entries read them.
+
+def _explicit_rows(quad: ParamQuad) -> tuple:
+    """The theta rows an EXPLICIT entry of `quad` reads, one at a time.
+
+    The prefactor rows of `_prefactor_specs`, then the `kernels.VwpRows`
+    table of the entry series, whose rows grow value by value as entries
+    read them.  `multiconv_rhs`, which reads a few entries of each matrix,
+    and R_explicit below EXPLICIT_MATRIX_N use them.
     """
     _require_nonzero(quad, "abcd", Route.EXPLICIT)
-    a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
-    bases = (b / d, a * c, a / c, b * d, b / c, b * c, c * d, ctx.q)
-    prefactor = _theta_rows(
-        (*((u, 0, N) for u in bases), *((u, 1 - N, N) for u in (c / d, d / c))),
-        ctx,
-    )
+    ctx = quad.ctx
+    prefactor = _theta_rows(_prefactor_specs(quad), ctx)
     alpha = _series_params(quad, 0, 0)[0]  # the same for every entry
-    return prefactor, kernels.VwpRows(alpha, ctx.q, ctx.p, N, ctx.theta_factors)
+    return prefactor, kernels.VwpRows(alpha, ctx.q, ctx.p, quad.N, ctx.theta_factors)
 
 
 def _r_entry_explicit(quad: ParamQuad, rows: tuple, k: int, l: int) -> complex:
@@ -401,19 +417,47 @@ def entry_series(quad: ParamQuad, k: int, l: int) -> complex:
     return eval_V12(v12_spec(alpha, [u for _, u in bs], ctx.q, ctx.p, n))
 
 
+# From this N up (one further at p = 0, where theta is one subtraction)
+# R_explicit computes all entries together (`_explicit_matrix`) rather than
+# one by one (`_explicit_entries`); the two give the same bits.  Per-entry
+# over whole-matrix time, medians of 8 quads (2-core x86-64, Python 3.11,
+# numpy 2.4, the two interleaved in one process): elliptic N = 3, 4, 5, 6
+# 0.94x, 1.01x, 1.11x, 1.31x; trigonometric 0.47x, 0.69x, 0.87x, 1.10x.
+EXPLICIT_MATRIX_N = 5
+
+
 def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     """Full coefficient matrix from the closed form.
 
-    The prefactors are slices of theta rows built once for the matrix
-    (12N - 2 theta values), and the entry series read one
-    `kernels.VwpRows` table (3N^2 + 12N + 2), so the matrix costs O(N^2)
-    theta values; each entry is bit for bit its prefactor times
-    `entry_series`.
+    Entry (k, l) is a balanced prefactor, a ratio of 4N + l interleaved
+    theta factor pairs read from rows built once for the matrix (12N - 2
+    theta values), times the terminating very-well-poised series
+    `entry_series`, whose rows the matrix shares (3N^2 + 12N + 2 theta
+    values); each entry is bit for bit its prefactor times `entry_series`.
+    From N = EXPLICIT_MATRIX_N up (one further at p = 0), where the
+    interpreter's complex arithmetic is the one `kernels` spells out on
+    arrays (`kernels.EXACT_ARRAYS`), every entry advances together
+    (`_explicit_matrix`); below it, or should that path decline, the
+    entries are computed one by one, their series table filled in one
+    `kernels.thetas` call where that pays (`VwpRows.fill`).
     Individual entries whose prefactor or series is resonant (while the
     basis itself is fine) are taken from R_solve and reported in
     `fallback`.
     """
     _require_valid(quad)
+    whole = None
+    if quad.N >= EXPLICIT_MATRIX_N + (quad.ctx.p == 0) and kernels.EXACT_ARRAYS:
+        whole = _explicit_matrix(quad)
+    ent, flagged = whole or _explicit_entries(quad)
+    if flagged:
+        solved = R_solve(quad).entries
+        for k, l in flagged:
+            ent[k, l] = solved[k, l]
+    return CoeffMatrix(ent, Route.EXPLICIT, quad, tuple(flagged))
+
+
+def _explicit_entries(quad: ParamQuad) -> tuple:
+    """R_explicit's entries and the (k, l) it leaves to R_solve, entry by entry."""
     rows = _explicit_rows(quad)
     N = quad.N
     # The diagonal entries' series read every row of the table to its full
@@ -436,11 +480,235 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
                 ent[k, l] = _r_entry_explicit(quad, rows, k, l)
             except SingularParameterError:
                 flagged.append((k, l))
-    if flagged:
-        solved = R_solve(quad).entries
-        for k, l in flagged:
-            ent[k, l] = solved[k, l]
-    return CoeffMatrix(ent, Route.EXPLICIT, quad, tuple(flagged))
+    return ent, flagged
+
+
+def _explicit_matrix(quad: ParamQuad):
+    """`_explicit_entries` with every entry computed at once, bit for bit.
+
+    One `kernels.thetas` call gives the 12N - 2 prefactor and the
+    3N^2 + 12N + 2 series theta values, from the arguments the per-entry
+    path forms.  The prefactor products then run as 5N numpy steps over
+    the whole matrix, step i taking factor pair i of every entry that has
+    one; the series form every term's numerator and denominator products
+    at once and chain them over the shrinking squares of entries that
+    have a term t.  The arithmetic is CPython's complex product and
+    quotient spelled out on float64 arrays (`kernels._mul`, `_quot`), in
+    the per-entry order, and every test that makes an entry raise (and
+    fall back to R_solve) is made on the same values.  Arrays are indexed
+    [l, k] and hold O(N^3) values at most.
+
+    Returns None, for the per-entry path to decide, where a series
+    parameter is 0 or a series theta argument is 0 at p != 0 (both raise
+    there), or a theta value is finite with an infinite modulus (abs
+    raises on it).
+    """
+    _require_nonzero(quad, "abcd", Route.EXPLICIT)
+    a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
+    q = ctx.q
+    xs, ends = _theta_args(_prefactor_specs(quad), ctx)
+    alpha = _series_params(quad, 0, 0)[0]
+    # the series parameters of `_series_params` by family: q^(-m), q^(k-N) a/b
+    # and q^(l-N) c/d for an index 0..N, then cd, ab and cb
+    params = (
+        [q ** (-j) for j in range(N + 1)]
+        + [q ** (j - N) * a / b for j in range(N + 1)]
+        + [q ** (j - N) * c / d for j in range(N + 1)]
+        + [c * d, q ** (1 - N) / (a * b), q * c / b]
+    )
+    if 0 in params:
+        return None
+    # the `kernels.VwpRows` rows theta(u q^t), t < n, as (u, n): alpha and q,
+    # then each parameter b and each alpha q / b, as long as its longest sum
+    bases = [alpha, q, *params, *(alpha * q / u for u in params)]
+    lengths = [N, N] + 2 * ([*range(N + 1)] * 3 + [N] * 3)
+    qk = kernels.powers(1.0 + 0.0j, q, N)
+    xs += [alpha, *kernels.powers(alpha + 0.0j, q * q, N + 1)]
+    xs += [u * x for u, n in zip(bases, lengths) for x in qk[:n]]
+    try:
+        values = kernels.thetas(xs, ctx.p, ctx.theta_factors)
+    except ZeroDivisionError:
+        return None
+    # then b/d's row times q^(l-N) for each l, as `_r_entry_explicit` forms it
+    values += [f * q ** (l - N) for l in range(N + 1) for f in values[:l]]
+    table = np.array(values, dtype=complex)
+    re, im = table.real.copy(), table.imag.copy()
+    with np.errstate(over="ignore"):
+        if (np.isinf(np.hypot(re, im)) & np.isfinite(table)).any():
+            return None
+    series = ends[-1]  # theta(alpha), the well-poised row, then the rows
+    at = [0, *ends]  # where each prefactor row starts
+    L = np.arange(N + 1)
+    l, k = L[:, None], L[None, :]
+    # `_r_entry_explicit`'s factor lists as slices of the table: numerator
+    # slice j of entry [l, k] starts at s0 + sl l + st l(l-1)/2 and is
+    # n0 + nl l + nk k long
+    s0, sl, st, n0, nl, nk = np.array(
+        [
+            (len(xs), 0, 1, 0, 1, 0),  # (b/d)_l q^(l(l-N))
+            (at[1], 0, 0, 0, 0, 1),  # (ac)_k
+            (at[2], 0, 0, 0, 0, 1),  # (a/c)_k
+            (at[3] + N, -1, 0, 0, 1, 0),  # (q^(N-l) bd)_l
+            (at[4], 0, 0, N, 0, -1),  # (b/c)_(N-k)
+            (at[4], 0, 0, N, -1, 0),  # (b/c)_(N-l)
+            (at[5], 0, 0, N, 0, -1),  # (bc)_(N-k)
+            (at[7], 0, 0, N, 0, 0),  # (q)_N
+        ]
+    ).T[..., None, None]
+    num = _slice_index(
+        5 * N, s0 + sl * l + st * (l * (l - 1) // 2), n0 + nl * l + nk * k
+    )
+    # and denominator slice j of row l starts at s0 + sl l and is n0 + nl l long
+    s0, sl, n0, nl = np.array(
+        [
+            (at[8] - 1, 1, 0, 1),  # (q^(l-N) c/d)_l
+            (at[9] + N - 1, -1, N, -1),  # (q^(-l) d/c)_(N-l)
+            (at[6], 0, N, 0),  # (cd)_N
+            (at[4], 0, N, 0),  # (b/c)_N
+            (at[5], 0, 0, 1),  # (bc)_l
+            (at[7], 0, 0, 1),  # (q)_l
+            (at[7], 0, N, -1),  # (q)_(N-l)
+        ]
+    ).T[..., None]
+    den = _slice_index(5 * N, s0 + sl * L, n0 + nl * L)
+    with np.errstate(all="ignore"):
+        pr, pi, singular = _interleaved_ratios(re, im, num, den, N)
+        head, rows = table[series : series + N + 2], table[series + N + 2 : len(xs)]
+        sr, si, series_singular = _series_square(quad, head, rows, lengths)
+        ent = np.empty((N + 1, N + 1), dtype=complex)
+        ent.real = (pr * sr - pi * si).T
+        ent.imag = (pr * si + pi * sr).T
+    flagged = (series_singular | singular[:, None]).T
+    return ent, [(k, l) for k, l in np.argwhere(flagged).tolist()]
+
+
+def _slice_index(steps: int, starts, lens) -> np.ndarray:
+    """Table indices of factor lists made of consecutive table slices.
+
+    Each entry's list runs through the slices [starts[j], starts[j] +
+    lens[j]) of a flat table for j = 0, 1, ... (starts broadcast to the
+    shape of lens).  Returns idx with idx[i] the table index of each
+    entry's factor i, i < steps; past an entry's last factor it runs on
+    along its last slice.  Built by broadcasting: a jump at the first step
+    of each slice, summed over the steps.
+    """
+    shape, size = lens.shape[1:], lens[0].size
+    begin = lens.cumsum(0)  # the step each slice begins at
+    begin[1:] = begin[:-1]
+    begin[0] = 0
+    off = starts - begin  # table index minus step, along each slice
+    jumps = off.copy()
+    jumps[1:] -= off[:-1]
+    where = begin * size + np.arange(size).reshape(shape)
+    jump = np.bincount(where.ravel(), jumps.ravel(), (steps + 1) * size)
+    idx = jump[: steps * size].astype(np.int32).reshape(steps, *shape)
+    np.cumsum(idx, 0, out=idx)
+    idx += np.arange(steps, dtype=np.int32).reshape(-1, *(1,) * len(shape))
+    return idx
+
+
+def _interleaved_ratios(re, im, num, den, N: int) -> tuple:
+    """`_balanced_ratio` of every entry at once.
+
+    (re, im)[num[i]] (shape (L, K)) and (re, im)[den[i]] (shape (L,)) are
+    factor pair i of each entry; entry [l, k] has 4N + l pairs, so from
+    step 4N on the rows l done fall away.  The factors are gathered
+    kernels.THETA_BLOCK values at a time.  Returns the real and imaginary
+    parts of the ratios and, per row l, whether a denominator factor
+    within its pairs has modulus below SINGULAR_EPS, where
+    `_balanced_ratio` raises.
+    """
+    steps, dr, di = len(num), re[den], im[den]
+    live = np.arange(steps)[:, None] < 4 * N + np.arange(N + 1)
+    singular = ((np.hypot(dr, di) < kernels.SINGULAR_EPS) & live).any(0)
+    accr, acci = np.ones((N + 1, N + 1)), np.zeros((N + 1, N + 1))
+    acc, scratch = (accr, acci), (np.empty_like(accr), np.empty_like(accr))
+    block = max(1, kernels.THETA_BLOCK // accr.size)
+    for i0 in range(0, steps, block):
+        rows = slice(i0, i0 + block)
+        # each row's divisors spread over its entries: same-shape operands
+        # make the small ufunc calls of a step about half as costly
+        div = kernels._divisor(dr[rows], di[rows])
+        div = [np.repeat(x[..., None], N + 1, 2) for x in div]
+        for i, pair in enumerate(zip(re[num[rows]], im[num[rows]], *div), i0):
+            if i >= 4 * N:  # rows 0 .. i - 4N are done
+                pair = [x[i - 4 * N + 1 :] for x in pair]
+                acc, scratch = [x[1:] for x in acc], [x[1:] for x in scratch]
+            kernels._mul(*acc, *pair[:2], *scratch)
+            kernels._div(*acc, *pair[2:], *scratch)
+    return accr, acci, singular
+
+
+def _series_square(quad: ParamQuad, head, values, lengths) -> tuple:
+    """`kernels.VwpRows.sum` of every entry series at once.
+
+    `head` is theta(alpha) and the well-poised row theta(alpha q^(2t)),
+    t = 0..N; `values` are the rows theta(u q^t), t < n, for the (u, n)
+    of `_explicit_matrix`, end to end.  Entry [l, k] sums min(k, l) + 1
+    terms; term t + 1 is term t times z top_t / bottom_t.  The products
+    top_t and bottom_t are formed for every t and entry at once, side by
+    side, then run_t chains over t, and the terms run_t wp_t / theta(alpha)
+    add up over the squares [t:, t:] of entries that have a term t.
+    Returns the real and imaginary parts of the sums and where `sum`
+    raises: a denominator factor with modulus below SINGULAR_EPS or a zero
+    bottom_t within an entry's terms, or theta(alpha) below it.
+    """
+    N, z = quad.N, quad.ctx.q
+    R = len(lengths)
+    rows = np.ones((R, N), dtype=complex)
+    rows[np.arange(N) < np.array(lengths)[:, None]] = values
+    cols = rows.T  # cols[t, r]: value t of row r
+    fam = N + 1  # rows of one parameter family
+    L = np.arange(N + 1)
+    l, k, lo = L[:, None], L[None, :], np.minimum.outer(L, L)
+    # the numerator and denominator rows that `sum` reads, side by side: alpha's
+    # and q's (whose product starts from 1 + 0j), then those of the parameters
+    # ("m", m), ("k", k), ("l", l), cd, ab, cb and ("m", n) of _series_params
+    side = np.array([2, 2 + 3 * fam + 3])[:, None, None]
+    gathers = [
+        side + np.maximum(l, k), side + fam + k, side + 2 * fam + l,
+        side + 3 * fam, side + 3 * fam + 1, side + 3 * fam + 2, side + lo,
+    ]
+    shape = (N, 2, N + 1, N + 1)  # [t, top or bottom, l, k]
+    pr, pi = np.empty(shape), np.empty(shape)
+    pr[:, 0], pi[:, 0] = cols[:, 0, None, None].real, cols[:, 0, None, None].imag
+    one = np.ones(N), np.zeros(N)
+    kernels._mul(*one, cols[:, 1].real, cols[:, 1].imag, np.empty(N), np.empty(N))
+    pr[:, 1], pi[:, 1] = one[0][:, None, None], one[1][:, None, None]
+    scratch = np.empty(shape), np.empty(shape)
+    small = np.hypot(rows.real, rows.imag) < kernels.SINGULAR_EPS
+    singular = np.zeros((N, N + 1, N + 1), dtype=bool)
+    if small[1].any() or small[2 + 3 * fam + 3 :].any():
+        singular |= small[1][:, None, None]
+        for i in gathers:
+            singular |= small.T[:, i[1]]
+    for i in gathers:
+        f = cols[:, i]
+        kernels._mul(pr, pi, f.real, f.imag, *scratch)
+    top, bottom = (pr[:, 0], pi[:, 0]), (pr[:, 1], pi[:, 1])
+    singular |= (bottom[0] == 0) & (bottom[1] == 0)
+    kernels._mul(*top, z.real, z.imag, *(x[:, 0] for x in scratch))
+    fr, fi = kernels._quot(*top, *bottom)
+    singular = (singular & (np.arange(N)[:, None, None] < lo)).any(0)
+    if abs(complex(head[0])) < kernels.SINGULAR_EPS:
+        singular[...] = True
+    # run_t for every t, each entry's from its own run_(t-1) while it has
+    # terms (the others' are never read), then the terms, then their sums
+    runr, runi = np.empty((N + 1, N + 1, N + 1)), np.empty((N + 1, N + 1, N + 1))
+    runr[0], runi[0] = 1.0, 0.0
+    u, v = np.empty((N + 1, N + 1)), np.empty((N + 1, N + 1))
+    for t in range(N):
+        runr[t + 1], runi[t + 1] = runr[t], runi[t]
+        kernels._mul(runr[t + 1], runi[t + 1], fr[t], fi[t], u, v)
+    wp = head[1:, None, None]
+    scratch = np.empty_like(runr), np.empty_like(runr)
+    kernels._mul(runr, runi, wp.real, wp.imag, *scratch)
+    kernels._div(runr, runi, *kernels._divisor(head[:1].real, head[:1].imag), *scratch)
+    totr, toti = np.zeros((N + 1, N + 1)), np.zeros((N + 1, N + 1))
+    for t in range(N + 1):
+        totr[t:, t:] += runr[t, t:, t:]
+        toti[t:, t:] += runi[t, t:, t:]
+    return totr, toti, singular
 
 
 # -- route RECURRENCE (two-step composition) ---------------------------------

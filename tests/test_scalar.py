@@ -1,5 +1,6 @@
 """Product-side scalars: shifted factorials, theta, Gaussian binomials."""
 
+import cmath
 import math
 import pickle
 from fractions import Fraction
@@ -317,6 +318,63 @@ def test_theta_batch_follows_the_interpreters_mixed_arithmetic():
         want = [_quot(x, promoted) for x in xs]
         assert kernels._matching(want, recips, lambda f: f(zr, zi)) is form
     assert kernels._NEG in negs and kernels._RECIP in recips
+
+
+def _c_prod(x: complex, y: complex, fused: bool = False) -> complex:
+    """CPython's `_Py_c_prod` in Python floats; `fused` (finite values only)
+    rounds each part's product and sum once, as a compiler that contracts
+    them to fma does."""
+
+    def dot(a, b, c, d):  # a b + c d
+        if fused:
+            return float(Fraction(a) * Fraction(b) + Fraction(c * d))
+        return a * b + c * d
+
+    return complex(
+        dot(x.real, y.real, -x.imag, y.imag), dot(x.real, y.imag, x.imag, y.real)
+    )
+
+
+def _c_quot(x: complex, y: complex) -> complex:
+    """CPython's `_Py_c_quot` (y != 0) in Python floats: divided through by
+    the larger of |y.real| and |y.imag|, NaN where neither compares."""
+    if abs(y.real) >= abs(y.imag):
+        r = y.imag / y.real
+        d = y.real + y.imag * r
+        return complex((x.real + x.imag * r) / d, (x.imag - x.real * r) / d)
+    if abs(y.imag) >= abs(y.real):
+        r = y.real / y.imag
+        d = y.real * r + y.imag
+        return complex((x.real * r + x.imag) / d, (x.imag * r - x.real) / d)
+    return complex(math.nan, math.nan)
+
+
+def test_array_products_and_quotients_are_cpythons_formulas():
+    # R_explicit's whole-matrix path multiplies and divides on float arrays
+    # with `_mul` and `_quot`; they are the two formulas above bit for bit, on
+    # probes with signed zeros, both division branches and overflow, and the
+    # interpreter is trusted with arrays only where it computes them too
+    kernels = backend.kernels
+    pairs = [(x, y) for x in kernels._WIDE for y in kernels._WIDE if y]
+    xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+    ar, ai = xs.real.copy(), xs.imag.copy()
+    scratch = np.empty_like(ar), np.empty_like(ar)
+    with np.errstate(all="ignore"):
+        kernels._mul(ar, ai, ys.real, ys.imag, *scratch)
+        qr, qi = kernels._quot(xs.real, xs.imag, ys.real, ys.imag)
+    prods = [_c_prod(x, y) for x, y in pairs]
+    quots = [_c_quot(x, y) for x, y in pairs]
+    assert _bits(prods) == _bits([complex(r, i) for r, i in zip(ar, ai)])
+    assert _bits(quots) == _bits([complex(r, i) for r, i in zip(qr, qi)])
+    native = [x * y for x, y in pairs] + [x / y for x, y in pairs]
+    assert kernels.EXACT_ARRAYS == (_bits(native) == _bits(prods + quots))
+    # what the probes can tell apart: a product rounded once per part, and
+    # overflow, where C11 Annex G would recover infinities from NaN parts
+    signed = [(x, y) for x in kernels._SIGNED for y in kernels._SIGNED]
+    assert any(_c_prod(x, y, fused=True) != _c_prod(x, y) for x, y in signed)
+    for values in (prods, quots):
+        assert not all(cmath.isfinite(v) for v in values)
+    assert {abs(y.real) >= abs(y.imag) for _, y in pairs} == {True, False}
 
 
 def _table(rows) -> bytes:

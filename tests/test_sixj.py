@@ -216,6 +216,68 @@ def test_explicit_entries_equal_the_single_entry_series():
                         assert R.entries[k, l] == want, (level, N, seed, k, l)
 
 
+def _explicit_outcome(quad) -> tuple:
+    """R_explicit's entry bits and fallback entries, or its error and text."""
+    try:
+        R = R_explicit(quad)
+    except SixjError as exc:
+        return type(exc).__name__, str(exc)
+    return R.entries.tobytes(), R.fallback
+
+
+def test_explicit_matrix_path_is_the_per_entry_loop_bit_for_bit(monkeypatch):
+    # from EXPLICIT_MATRIX_N up every entry advances together; with the
+    # cutover moved either way R_explicit gives the same entry bits, the
+    # same fallback entries and the same errors, warning about nothing
+    quads = [
+        draw_quad(seed, N, level)
+        for level in (Level.TRIG, Level.ELLIPTIC)
+        for N in (1, 3, 4, 5, 6, 9)
+        for seed in (30, 31)
+    ]
+    vanishing = []
+    for level in (Level.TRIG, Level.ELLIPTIC):
+        # b = c q^-2 and a = c q^-1 zero prefactor factors of 16 and 5 entries
+        base = draw_quad(33, 3, level)
+        a, b, c, d, q = base.a, base.b, base.c, base.d, base.ctx.q
+        vanishing += [
+            (ParamQuad(a, c / q**2, c, d, 3, base.ctx), 16),
+            (ParamQuad(c / q, b, c, d, 3, base.ctx), 5),
+        ]
+    # entries that overflow (ROADMAP item 4)
+    ctx = make_context(0.41, p=0.17)
+    huge = ParamQuad(1.2 + 0.3j, 0.8 - 0.2j, 1.1 + 0.4j, 0.7 + 0.2j, 20, ctx)
+    cutover = sixj.EXPLICIT_MATRIX_N
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for quad in quads + [quad for quad, _ in vanishing] + [huge]:
+            assert sixj._explicit_matrix(quad) is not None
+            outcomes = []
+            for first in (0, cutover, 10**6):
+                monkeypatch.setattr(sixj, "EXPLICIT_MATRIX_N", first)
+                outcomes.append(_explicit_outcome(quad))
+            assert outcomes[0] == outcomes[1] == outcomes[2], quad
+    for quad, flagged in vanishing:
+        assert len(R_explicit(quad).fallback) == flagged
+    overflow = ("DomainError", "non-finite matrix entries at N = 20")
+    assert _explicit_outcome(huge) == overflow
+
+
+def test_explicit_keeps_the_per_entry_loop_where_arrays_differ(monkeypatch):
+    # an interpreter whose complex arithmetic the arrays do not reproduce
+    quad = draw_quad(30, 8, Level.ELLIPTIC)
+    want = _explicit_outcome(quad)
+    monkeypatch.setattr(kernels, "EXACT_ARRAYS", False)
+    monkeypatch.setattr(sixj, "_explicit_matrix", None)
+    assert _explicit_outcome(quad) == want
+
+
+def test_balanced_ratio_pairs_its_factors():
+    assert sixj._balanced_ratio([2.0, 3j], [4.0, 1j], "x") == 1.5
+    with pytest.raises(ValueError, match="2 numerator and 1 denominator"):
+        sixj._balanced_ratio([1.0, 2.0], [1.0], "x")
+
+
 def test_paths_reads_linear_theta_rows(monkeypatch):
     # 19N - 8 theta values per matrix, then O(N^3) products
     calls = _count_theta(monkeypatch)
