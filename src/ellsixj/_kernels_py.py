@@ -15,8 +15,9 @@ Conventions:
 - every sum runs the term recurrence forward (O(n) factor updates per
   term), never recomputing Pochhammers from scratch,
 - very-well-poised sums read their theta values from `VwpRows`, the one
-  row builder of both the single sum `vwp_sum` and `sixj.R_explicit`'s
-  per-entry path, whose entry series of one matrix share one table,
+  row builder of both the single sum `vwp_sum` and `sixj`'s per-entry
+  EXPLICIT path, whose entry series of one matrix share one table and
+  grow its rows value by value as they read them,
 - `thetas` computes a batch of theta values in one numpy pass, equal bit
   for bit to `theta` on each argument.  It carries real and imaginary
   parts as float64 arrays and spells out CPython's own complex formulas
@@ -42,7 +43,6 @@ SINGULAR_EPS = 1e-13
 # costs 5-12 us a value for p from 0.05 to 0.3 (15 to 33 factor pairs);
 # the batch pass broke even with it at 24-32 values and was 1.2-1.9x
 # faster at 40 (2-core x86-64 machine, Python 3.11, numpy 2.4).
-# `VwpRows.fill` grows nothing for fewer values than this either.
 THETA_BATCH = 40
 # Values one block of factor rows holds: `thetas` builds the rows
 # 1 - p^j x and 1 - p^(j+1) / x of THETA_BLOCK // n factor pairs at a time
@@ -334,9 +334,8 @@ class VwpRows:
     argument chained by q q from a; q^j is chained by q from 1.  A row grows
     to the longest sum that has read it, so sums of up to n_max + 1 terms
     that share parameters share their theta values, and a caller that
-    reads a few sums pays for those.  A caller that knows which sums it
-    will read can `fill` their rows first, in one `thetas` call; otherwise
-    rows grow value by value through `theta` as the sums read them.
+    reads a few sums pays for those.  Rows grow value by value through
+    `theta` as the sums read them.
     """
 
     def __init__(self, a: complex, q: complex, p: complex, n_max: int, nfac: int):
@@ -350,57 +349,6 @@ class VwpRows:
         for x in self.qk[len(row) : n]:
             row.append(theta(u * x, self.p, self.nfac))
         return row
-
-    def fill(self, specs) -> None:
-        """Grow, in one `thetas` call, every row the sums over `specs` read.
-
-        A spec (key, b, n) grows the rows of key to n values; the rows of a
-        and q grow to the largest n and the well-poised row one further.
-        The values are those the sums would compute, so filling changes when
-        theta values are computed, never how.  At p = 0, where theta is one
-        subtraction, or for fewer than THETA_BATCH values, it grows nothing:
-        the sums' own growth costs less there.  A fill that raises leaves
-        the table unchanged.
-        """
-        if self.p == 0:
-            return
-        longest = {}  # key -> (b, the longest n asked of its rows)
-        for key, b, n in specs:
-            if b == 0:
-                raise ZeroDivisionError("well-poised parameter b = 0")
-            if n > longest.get(key, (b, -1))[1]:
-                longest[key] = (b, n)
-        top = max((n for _, n in longest.values()), default=0)
-        xs = self.wp_args[len(self.wp) : top + 1]
-        at = len(xs)
-        # the values to compute, counted before any argument is formed
-        need = at + max(0, top - len(self.a_row)) + max(0, top - len(self.q_row))
-        for key, (_, n) in longest.items():
-            need += max(0, n - len(self.num.get(key, ())))
-            need += max(0, n - len(self.den.get(key, ())))
-        if need < THETA_BATCH:
-            return
-        a, q = self.a, self.q
-        grow = [
-            (row, u, self.qk[len(row) : top])
-            for row, u in ((self.a_row, a), (self.q_row, q))
-        ]
-        fresh = []
-        for key, (b, n) in longest.items():
-            for table, u in ((self.num, b), (self.den, a * q / b)):
-                row = table.get(key)
-                if row is None:
-                    row = []
-                    fresh.append((table, key, row))
-                grow.append((row, u, self.qk[len(row) : n]))
-        xs += [u * x for _, u, qk in grow for x in qk]
-        values = thetas(xs, self.p, self.nfac)
-        self.wp += values[:at]
-        for row, _, qk in grow:
-            row += values[at : at + len(qk)]
-            at += len(qk)
-        for table, key, row in fresh:
-            table[key] = row
 
     def sum(self, bs: tuple, z: complex, n: int) -> complex:
         """The sum of `vwp_sum` over the (key, b) pairs bs, n + 1 terms.

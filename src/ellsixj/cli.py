@@ -8,7 +8,8 @@ only those its --family reads and sixj only those its --level reads.
 Series families W and V12 need --a; an absent --q, --z or --p is 0.5, 1
 or 0.  The elliptic level needs a nonzero --p.  wilson takes a degree --n
 in 0..N and either --z or a grid index --k in 0..N, not both.  --tol is
-the only way to override the default tolerance of sklyanin and verify.
+the only way to override the default tolerance of sklyanin and verify,
+and must be a finite positive number.
 Exit codes: 0 success or all-pass, 1 verification failure, 2 usage error,
 141 (128 + SIGPIPE) when stdout closes early, e.g. under `| head`.
 """
@@ -28,6 +29,7 @@ from .harness import (
     _json_fragment,
     aggregate_json,
     report_json,
+    require_tol,
     run_suite,
 )
 from .series import eval_V12, eval_W, eval_rFs, eval_rphi_s
@@ -236,9 +238,10 @@ def run_command(argv) -> int:
             return 0
 
         if args.verb == "sklyanin":
+            tol = args.tol if args.tol is not None else 1e-7
+            require_tol(tol)
             ctx = make_context(args.q, p=args.p)
             res = eigenrelation_check(args.a, args.b, args.c, args.k, args.N, ctx)
-            tol = args.tol if args.tol is not None else 1e-7
             print(_json_fragment({"residual": res, "tol": tol, "pass": res <= tol}))
             return 0 if res <= tol else 1
 

@@ -24,6 +24,21 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
+def inverse_power(q: complex, n: int) -> complex:
+    """q^(-n), once q^n and q^(-n) are both finite nonzero doubles.
+
+    A base whose powers leave double range makes every formula of size n
+    divide by zero or overflow, so it is rejected up front.
+    """
+    try:
+        up, down = complex(q**n), complex(q ** (-n))
+    except (ZeroDivisionError, OverflowError):
+        up = down = 0j
+    if 0 in (up, down) or not (_finite(up) and _finite(down)):
+        raise DomainError(f"q = {q} has q^{n} or q^-{n} outside double range")
+    return down
+
+
 def theta_factors(p: complex) -> int:
     """Factor pairs a truncated theta product keeps at nome p; 0 at p == 0."""
     if not abs(p) < 1:
@@ -54,10 +69,6 @@ class EllipticContext:
         object.__setattr__(self, "q_half", qh)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "theta_factors", theta_factors(p))
-
-    @property
-    def trigonometric(self) -> bool:
-        return self.p == 0
 
     def with_nome(self, p: complex) -> "EllipticContext":
         return EllipticContext(self.q, self.q_half, p)

@@ -112,8 +112,14 @@ class SampleConfig:
             raise DomainError("p_max must lie in [0, 1)")
         if self.trials < 1 or self.N_max < 1:
             raise DomainError("need trials >= 1 and N_max >= 1")
-        if self.tol is not None and self.tol <= 0:
-            raise DomainError("tol must be positive")
+        if self.tol is not None:
+            require_tol(self.tol)
+
+
+def require_tol(tol: float) -> None:
+    """Reject a tolerance that is not a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be a finite positive number, not {tol}")
 
 
 @dataclass

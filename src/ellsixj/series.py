@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .backend import kernels
-from .context import EllipticContext, make_context, theta_factors
+from .context import EllipticContext, inverse_power, make_context, theta_factors
 from .errors import BalancingError, DomainError, SingularParameterError
 from . import scalar
 
@@ -61,7 +61,7 @@ class SeriesSpec:
         q = complex(self.base)
         if q == 0:
             raise DomainError("q = 0 is outside the supported regime")
-        ref = q ** (-n)
+        ref = inverse_power(q, n)
         if abs(self.top[-1] - ref) > TERMINATION_RTOL * abs(ref):
             raise DomainError(
                 "termination slot must hold q**(-terms) for this family"

@@ -26,9 +26,10 @@ A formula asks for all its rows in one call of the batched kernel
 it avoids numpy's complex arithmetic, which rounds products and quotients
 differently from Python's in the last bit: EXPLICIT's entries are checked
 against RECURRENCE's, and which entries pass can turn on such a bit.  From
-N = EXPLICIT_MATRIX_N up `R_explicit` computes every entry at once, on
-float64 arrays with Python's complex formulas spelled out, and gets the
-per-entry loop's bits.
+N = EXPLICIT_MATRIX_N up (EXPLICIT_MATRIX_N_TRIG at p = 0) `R_explicit`
+computes every entry at once, on float64 arrays with Python's complex
+formulas spelled out, and gets the bits of the per-entry loop it runs
+below that, whose series grow their shared table value by value.
 
 The degenerations of R (q-Racah and Krawtchouk coefficient matrices), the
 parameter symmetries, the limit transitions between levels, and the
@@ -48,7 +49,7 @@ import numpy as np
 
 from .backend import kernels
 from .basis import BasisPair, basis_valid, expand_by_solve, h_pair_fn
-from .context import EllipticContext
+from .context import EllipticContext, inverse_power
 from .errors import DomainError, SingularParameterError
 from .series import eval_V12, eval_rphi_s, phi_spec, v12_spec
 from . import scalar
@@ -66,6 +67,7 @@ class ParamQuad:
     def __post_init__(self) -> None:
         if self.N < 0:
             raise DomainError("N must be >= 0")
+        inverse_power(self.ctx.q, self.N)
         if self.ctx.p != 0 and 0 in (self.a, self.b, self.c, self.d):
             raise DomainError("zero parameters are not allowed at p != 0")
 
@@ -335,7 +337,8 @@ def _explicit_rows(quad: ParamQuad) -> tuple:
     The prefactor rows of `_prefactor_specs`, then the `kernels.VwpRows`
     table of the entry series, whose rows grow value by value as entries
     read them.  `multiconv_rhs`, which reads a few entries of each matrix,
-    and R_explicit below EXPLICIT_MATRIX_N use them.
+    and R_explicit's per-entry loop (below EXPLICIT_MATRIX_N at p != 0 and
+    EXPLICIT_MATRIX_N_TRIG at p = 0) use them.
     """
     _require_nonzero(quad, "abcd", Route.EXPLICIT)
     ctx = quad.ctx
@@ -417,13 +420,15 @@ def entry_series(quad: ParamQuad, k: int, l: int) -> complex:
     return eval_V12(v12_spec(alpha, [u for _, u in bs], ctx.q, ctx.p, n))
 
 
-# From this N up (one further at p = 0, where theta is one subtraction)
-# R_explicit computes all entries together (`_explicit_matrix`) rather than
-# one by one (`_explicit_entries`); the two give the same bits.  Per-entry
-# over whole-matrix time, medians of 8 quads (2-core x86-64, Python 3.11,
-# numpy 2.4, the two interleaved in one process): elliptic N = 3, 4, 5, 6
-# 0.94x, 1.01x, 1.11x, 1.31x; trigonometric 0.47x, 0.69x, 0.87x, 1.10x.
-EXPLICIT_MATRIX_N = 5
+# From these N up (the first at p != 0, the second at p = 0, where theta is
+# one subtraction) R_explicit computes all entries together
+# (`_explicit_matrix`) rather than one by one; the two give the same bits.
+# Per-entry over whole-matrix time, medians over 30 quads of the fastest of
+# 5 interleaved runs each (2-core x86-64, Python 3.11, numpy 2.4): elliptic
+# N = 2, 3, 4, 5 0.84x, 1.08x, 1.34x, 1.59x; trigonometric N = 4, 5, 6, 7
+# 0.66x, 0.86x, 1.08x, 1.31x.
+EXPLICIT_MATRIX_N = 3
+EXPLICIT_MATRIX_N_TRIG = 6
 
 
 def R_explicit(quad: ParamQuad) -> CoeffMatrix:
@@ -434,21 +439,31 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     theta values), times the terminating very-well-poised series
     `entry_series`, whose rows the matrix shares (3N^2 + 12N + 2 theta
     values); each entry is bit for bit its prefactor times `entry_series`.
-    From N = EXPLICIT_MATRIX_N up (one further at p = 0), where the
-    interpreter's complex arithmetic is the one `kernels` spells out on
+    From N = EXPLICIT_MATRIX_N up (EXPLICIT_MATRIX_N_TRIG at p = 0), where
+    the interpreter's complex arithmetic is the one `kernels` spells out on
     arrays (`kernels.EXACT_ARRAYS`), every entry advances together
     (`_explicit_matrix`); below it, or should that path decline, the
-    entries are computed one by one, their series table filled in one
-    `kernels.thetas` call where that pays (`VwpRows.fill`).
+    entries are computed one by one from `_explicit_rows`.
     Individual entries whose prefactor or series is resonant (while the
     basis itself is fine) are taken from R_solve and reported in
     `fallback`.
     """
     _require_valid(quad)
-    whole = None
-    if quad.N >= EXPLICIT_MATRIX_N + (quad.ctx.p == 0) and kernels.EXACT_ARRAYS:
-        whole = _explicit_matrix(quad)
-    ent, flagged = whole or _explicit_entries(quad)
+    N = quad.N
+    start = EXPLICIT_MATRIX_N if quad.ctx.p != 0 else EXPLICIT_MATRIX_N_TRIG
+    whole = _explicit_matrix(quad) if N >= start and kernels.EXACT_ARRAYS else None
+    if whole:
+        ent, flagged = whole
+    else:
+        rows = _explicit_rows(quad)
+        ent = np.empty((N + 1, N + 1), dtype=complex)
+        flagged = []
+        for k in range(N + 1):
+            for l in range(N + 1):
+                try:
+                    ent[k, l] = _r_entry_explicit(quad, rows, k, l)
+                except SingularParameterError:
+                    flagged.append((k, l))
     if flagged:
         solved = R_solve(quad).entries
         for k, l in flagged:
@@ -456,35 +471,8 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     return CoeffMatrix(ent, Route.EXPLICIT, quad, tuple(flagged))
 
 
-def _explicit_entries(quad: ParamQuad) -> tuple:
-    """R_explicit's entries and the (k, l) it leaves to R_solve, entry by entry."""
-    rows = _explicit_rows(quad)
-    N = quad.N
-    # The diagonal entries' series read every row of the table to its full
-    # length, so filling for them grows the table at once (where that pays).
-    # A fill that raises leaves the rows to the entries, whose own sums
-    # raise and fall back as without it.
-    try:
-        rows[1].fill(
-            (key, b, v)
-            for v in range(N + 1)
-            for key, b in _series_params(quad, v, v)[1]
-        )
-    except ZeroDivisionError:
-        pass
-    ent = np.empty((N + 1, N + 1), dtype=complex)
-    flagged = []
-    for k in range(N + 1):
-        for l in range(N + 1):
-            try:
-                ent[k, l] = _r_entry_explicit(quad, rows, k, l)
-            except SingularParameterError:
-                flagged.append((k, l))
-    return ent, flagged
-
-
 def _explicit_matrix(quad: ParamQuad):
-    """`_explicit_entries` with every entry computed at once, bit for bit.
+    """R_explicit's per-entry loop with every entry computed at once, bit for bit.
 
     One `kernels.thetas` call gives the 12N - 2 prefactor and the
     3N^2 + 12N + 2 series theta values, from the arguments the per-entry

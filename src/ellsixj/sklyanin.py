@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisPair, expand_by_solve, h_pair_xi, xi_from_x
-from .context import EllipticContext
+from .context import EllipticContext, inverse_power
 from .errors import DomainError, EvaluationPointError
 from . import scalar
 
@@ -43,7 +43,7 @@ class DiffOpSpec:
     def __post_init__(self) -> None:
         if self.N < 0:
             raise DomainError("N must be >= 0")
-        target = self.ctx.q ** (-self.N)
+        target = inverse_power(self.ctx.q, self.N)
         if abs(self.a * self.b * self.c * self.d - target) > CONSTRAINT_RTOL * abs(
             target
         ):
@@ -53,7 +53,7 @@ class DiffOpSpec:
     def three(cls, a: complex, b: complex, c: complex, N: int,
               ctx: EllipticContext) -> "DiffOpSpec":
         """The three-parameter form, with d pinned by the constraint."""
-        return cls(a, b, c, ctx.q ** (-N) / (a * b * c), N, ctx)
+        return cls(a, b, c, inverse_power(ctx.q, N) / (a * b * c), N, ctx)
 
 
 def apply_delta(op: DiffOpSpec, f, xi: complex) -> complex:

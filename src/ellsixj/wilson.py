@@ -55,10 +55,6 @@ class WilsonParams:
     def grid_z(self, k: int) -> complex:
         return self.a * self.q**k
 
-    def grid_x(self, k: int) -> complex:
-        z = self.grid_z(k)
-        return (z + 1 / z) / 2
-
 
 def wilson_r(n: int, z: complex, wp: WilsonParams) -> complex:
     """r_n((z + 1/z)/2), normalized to be symmetric in a, b, c, d.

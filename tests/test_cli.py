@@ -22,7 +22,7 @@ from ellsixj.series import (
     v12_spec,
     w_spec,
 )
-from ellsixj.sixj import ParamQuad, R_explicit
+from ellsixj.sixj import ParamQuad, R_explicit, Route
 
 
 def _run(capsys, *argv):
@@ -290,6 +290,47 @@ def test_large_N_exits_cleanly(capsys):
     # the q-Racah entries exceed a double here: a usage error, not a traceback
     code, out, err = _run(capsys, "sixj", *quad, "--level", "qracah")
     assert code == 2 and out == "" and err.startswith("error: non-finite")
+
+
+def test_base_powers_out_of_double_range_are_usage_errors(capsys):
+    # q^N or q^-N underflows to 0 or overflows: one error line, exit 2
+    quad = ["--a", "1.2,0.3", "--b", "0.8,-0.2", "--c", "1.1,0.4",
+            "--d", "0.7,0.2"]
+    sixj = ["sixj", *quad, "--N", "40"]
+    argvs = [[*sixj, "--q", q, "--method", route.value]
+             for q in ("1e-10", "1e10") for route in Route]
+    argvs += [
+        [*sixj, "--q", "1e-10", "--level", "qracah"],
+        ["sixj", *quad, "--N", "8", "--q", "1e-40", "--level", "elliptic",
+         "--p", "0.1"],
+        ["sklyanin", "--a", "1.2", "--b", "1", "--c", "1.1", "--k", "0", "--N", "40",
+         "--q", "1e-10"],
+        ["series", "--family", "phi", "--top", "2", "--q", "1e-10", "--terms", "40"],
+    ]
+    for argv in argvs:
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: q = ") and len(err.splitlines()) == 1, argv
+
+
+def test_tol_must_be_finite_and_positive(monkeypatch, capsys):
+    # rejected with one message before any trial or check runs
+    def no_work(*_):
+        raise AssertionError("work done before --tol was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "eigenrelation_check", no_work)
+    verbs = (
+        ["verify", "--suite", "symmetry", "--trials", "1"],
+        ["sklyanin", "--a", "1.1,0.2", "--b", "0.8,-0.3", "--c", "1.3,0.1",
+         "--k", "1", "--N", "2", "--q", "0.45"],
+    )
+    for argv in verbs:
+        for tol in ("nan", "inf", "-inf", "-1", "0"):
+            code, out, err = _run(capsys, *argv, f"--tol={tol}")
+            assert code == 2 and out == "", (argv, tol)
+            assert err.startswith("error: tol must be a finite positive number")
+            assert len(err.splitlines()) == 1
 
 
 class _ClosedPipe:

@@ -226,13 +226,13 @@ def _explicit_outcome(quad) -> tuple:
 
 
 def test_explicit_matrix_path_is_the_per_entry_loop_bit_for_bit(monkeypatch):
-    # from EXPLICIT_MATRIX_N up every entry advances together; with the
-    # cutover moved either way R_explicit gives the same entry bits, the
-    # same fallback entries and the same errors, warning about nothing
+    # from the cutover up every entry advances together; with the cutover
+    # moved either way R_explicit gives the same entry bits, the same
+    # fallback entries and the same errors, warning about nothing
     quads = [
         draw_quad(seed, N, level)
         for level in (Level.TRIG, Level.ELLIPTIC)
-        for N in (1, 3, 4, 5, 6, 9)
+        for N in (1, 2, 3, 4, 5, 6, 9)
         for seed in (30, 31)
     ]
     vanishing = []
@@ -247,20 +247,43 @@ def test_explicit_matrix_path_is_the_per_entry_loop_bit_for_bit(monkeypatch):
     # entries that overflow (ROADMAP item 4)
     ctx = make_context(0.41, p=0.17)
     huge = ParamQuad(1.2 + 0.3j, 0.8 - 0.2j, 1.1 + 0.4j, 0.7 + 0.2j, 20, ctx)
-    cutover = sixj.EXPLICIT_MATRIX_N
+    cutover = sixj.EXPLICIT_MATRIX_N, sixj.EXPLICIT_MATRIX_N_TRIG
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for quad in quads + [quad for quad, _ in vanishing] + [huge]:
             assert sixj._explicit_matrix(quad) is not None
             outcomes = []
-            for first in (0, cutover, 10**6):
-                monkeypatch.setattr(sixj, "EXPLICIT_MATRIX_N", first)
+            for ell, trig in ((0, 0), cutover, (10**6, 10**6)):
+                monkeypatch.setattr(sixj, "EXPLICIT_MATRIX_N", ell)
+                monkeypatch.setattr(sixj, "EXPLICIT_MATRIX_N_TRIG", trig)
                 outcomes.append(_explicit_outcome(quad))
             assert outcomes[0] == outcomes[1] == outcomes[2], quad
     for quad, flagged in vanishing:
         assert len(R_explicit(quad).fallback) == flagged
     overflow = ("DomainError", "non-finite matrix entries at N = 20")
     assert _explicit_outcome(huge) == overflow
+
+
+def test_explicit_cutover_picks_the_path(monkeypatch):
+    # the per-entry loop runs up to elliptic N = 2 and trigonometric N = 5,
+    # the whole-matrix path from elliptic N = 3 and trigonometric N = 6
+    whole = sixj._explicit_matrix
+    used = []
+
+    def spy(quad):
+        used.append(quad.N)
+        out = whole(quad)
+        assert out is not None
+        return out
+
+    monkeypatch.setattr(sixj, "_explicit_matrix", spy)
+    # the choice of path, whether or not this interpreter's arrays are exact
+    monkeypatch.setattr(kernels, "EXACT_ARRAYS", True)
+    for level, loop, matrix in ((Level.ELLIPTIC, 2, 3), (Level.TRIG, 5, 6)):
+        for N in (loop, matrix):
+            used.clear()
+            R_explicit(draw_quad(30, N, level))
+            assert used == ([N] if N == matrix else []), (level, N)
 
 
 def test_explicit_keeps_the_per_entry_loop_where_arrays_differ(monkeypatch):

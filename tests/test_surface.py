@@ -1,6 +1,7 @@
-"""Every name the package exports has a reader inside the package."""
+"""Every name the package exports or defines has a reader inside the package."""
 
 import ast
+import re
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "ellsixj"
@@ -14,6 +15,11 @@ UNREAD_EXPORTS = {
     "band_quad": "the band support of elliptic_W6j, kept until that check",
 }
 
+# definitions no package module reads beyond the unread exports
+UNREAD_DEFINITIONS = {
+    "__version__": "the package version, for whoever imports it",
+}
+
 
 def _exported() -> set:
     tree = ast.parse((PKG / "__init__.py").read_text())
@@ -23,6 +29,31 @@ def _exported() -> set:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def _definitions() -> list:
+    """(module, name) of every module-level function, class and assigned
+    name, and of every method other than a dunder, in the package."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                found += [
+                    (path.name, name.id)
+                    for target in getattr(node, "targets", None) or [node.target]
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.append((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (path.name, method.name)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not re.fullmatch("__.*__", method.name)
+                ]
+    return found
 
 
 def _readers() -> dict:
@@ -59,9 +90,24 @@ def test_every_export_has_a_reader():
     assert not unread, unread
 
 
+def test_every_definition_has_a_reader():
+    readers = _readers()
+    unread = sorted(
+        f"{module}: {name}"
+        for module, name in _definitions()
+        if name not in {*UNREAD_EXPORTS, *UNREAD_DEFINITIONS}
+        and not _read(name, readers)
+    )
+    assert not unread, unread
+
+
 def test_exceptions_are_still_exported_and_unread():
     # an exception that gains a reader, or leaves the surface, is stale
     readers, exported = _readers(), _exported()
+    defined = {name for _, name in _definitions()}
     for name in UNREAD_EXPORTS:
         assert name in exported, name
+        assert not _read(name, readers), name
+    for name in UNREAD_DEFINITIONS:
+        assert name in defined, name
         assert not _read(name, readers), name
