@@ -17,13 +17,14 @@ Exit codes: 0 success or all-pass, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
 import sys
 
 import numpy as np
 
 from .context import make_context
-from .errors import SixjError
+from .errors import DomainError, SixjError
 from .harness import (
     SampleConfig,
     _json_fragment,
@@ -80,6 +81,14 @@ def _emit_matrix(mat: np.ndarray, fmt: str, meta: dict) -> str:
     meta = dict(meta)
     meta["entries"] = [[complex(v) for v in row] for row in mat]
     return _json_fragment(meta)
+
+
+def _print_doc(verb: str, doc: dict) -> None:
+    """Print a verb's JSON document, once each of its numbers is finite."""
+    for name, v in doc.items():
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            raise DomainError(f"{verb}: {name} left double range: {v}")
+    print(_json_fragment(doc))
 
 
 def _reject_unread(args, table: dict, key: str, what: str) -> bool:
@@ -171,7 +180,7 @@ def run_command(argv) -> int:
         if args.verb == "theta":
             ctx = make_context(complex(DEFAULT_Q), p=args.p)
             val = scalar.theta(args.x, ctx)
-            print(_json_fragment({"x": args.x, "p": args.p, "value": val}))
+            _print_doc("theta", {"x": args.x, "p": args.p, "value": val})
             return 0
 
         if args.verb == "series":
@@ -193,7 +202,7 @@ def run_command(argv) -> int:
                 val = eval_W(w_spec(args.a, args.b, q, z, args.terms))
             else:
                 val = eval_V12(v12_spec(args.a, args.b, q, p, args.terms))
-            print(_json_fragment({"family": family, "value": val}))
+            _print_doc("series", {"family": family, "value": val})
             return 0
 
         if args.verb == "sixj":
@@ -234,7 +243,7 @@ def run_command(argv) -> int:
             )
             z = args.z if args.z is not None else wp.grid_z(args.k or 0)
             val = wilson_r(args.n, z, wp)
-            print(_json_fragment({"n": args.n, "z": z, "value": val}))
+            _print_doc("wilson", {"n": args.n, "z": z, "value": val})
             return 0
 
         if args.verb == "sklyanin":
@@ -242,7 +251,7 @@ def run_command(argv) -> int:
             require_tol(tol)
             ctx = make_context(args.q, p=args.p)
             res = eigenrelation_check(args.a, args.b, args.c, args.k, args.N, ctx)
-            print(_json_fragment({"residual": res, "tol": tol, "pass": res <= tol}))
+            _print_doc("sklyanin", {"residual": res, "tol": tol, "pass": res <= tol})
             return 0 if res <= tol else 1
 
         cfg = SampleConfig(

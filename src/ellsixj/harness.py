@@ -459,19 +459,19 @@ def verify_convolution(cfg: SampleConfig, levels=None) -> VerifyReport:
         fused = R_explicit(quad).entries
         scale = max(float(np.abs(fused).max()), 1e-300)
         worst = 0.0
+        cases = [
+            ((k1, k2), l)
+            for k1 in range(M + 1)
+            for k2 in range(Nn + 1)
+            for l in range(M + Nn + 1)
+        ]
         for sigma in ((0, 1), (1, 0)):
             for tau in ((0, 1), (1, 0)):
-                for k1 in range(M + 1):
-                    for k2 in range(Nn + 1):
-                        for l in range(M + Nn + 1):
-                            rhs = multiconv_rhs(
-                                (k1, k2), l, (M, Nn), quad, sigma, tau
-                            )
-                            worst = max(
-                                worst,
-                                abs(fused[k1 + k2, l] - rhs)
-                                / max(scale, abs(rhs)),
-                            )
+                rhss = multiconv_rhs(cases, (M, Nn), quad, sigma, tau)
+                for (ks, l), rhs in zip(cases, rhss):
+                    worst = max(
+                        worst, abs(fused[sum(ks), l] - rhs) / max(scale, abs(rhs))
+                    )
         params = _quad_params(quad)
         params.update({"M": M, "Npart": Nn})
         return worst, params
@@ -508,7 +508,7 @@ def verify_multiconv(cfg: SampleConfig, levels=None) -> VerifyReport:
         sigma = tuple(int(v) for v in rng.permutation(n))
         tau = tuple(int(v) for v in rng.permutation(n))
         quad = _sample_quad(rng, total, ctx)
-        rhs = multiconv_rhs(ks, l, Ms, quad, sigma, tau)
+        (rhs,) = multiconv_rhs([(ks, l)], Ms, quad, sigma, tau)
         lhs = R_explicit(quad).entries[sum(ks), l]
         res = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         params = _quad_params(quad)

@@ -281,7 +281,8 @@ def _theta_args(specs, ctx: EllipticContext) -> tuple:
     (u; q, p)_hi itself.  Below 0 each takes q^m as one power: there
     |u q^m| grows along the row and theta(x) ~ -x, so rounding that drifted
     along a chain of products would pass into the theta value in full.
-    Every argument is checked as `scalar.theta` checks it.
+    Every argument is checked as `scalar.theta` checks it; one that left
+    double range while u did not is named by its u and m.
     """
     q, xs, ends = ctx.q, [], []
     for u, lo, hi in specs:
@@ -289,7 +290,15 @@ def _theta_args(specs, ctx: EllipticContext) -> tuple:
             xs += [u * q**m for m in range(lo, 0)]
         xs += kernels.powers(u, q, hi)
         ends.append(len(xs))
-    return [scalar.theta_arg(x, ctx) for x in xs], ends
+    try:
+        return [scalar.theta_arg(x, ctx) for x in xs], ends
+    except DomainError:
+        steps = [(u, m) for u, lo, hi in specs for m in range(lo, hi)]
+        for x, (u, m) in zip(xs, steps):
+            if u != 0 and cmath.isfinite(u) and (x == 0 or not cmath.isfinite(x)):
+                what = f"theta argument u q^m = {x} left double range"
+                raise DomainError(f"{what} at u = {u}, m = {m}") from None
+        raise
 
 
 def _require_nonzero(quad: ParamQuad, names: str, route: Route) -> None:
@@ -331,24 +340,7 @@ def _prefactor_specs(quad: ParamQuad) -> tuple:
     return (*((u, 0, N) for u in bases), *((u, 1 - N, N) for u in (c / d, d / c)))
 
 
-def _explicit_rows(quad: ParamQuad) -> tuple:
-    """The theta rows an EXPLICIT entry of `quad` reads, one at a time.
-
-    The prefactor rows of `_prefactor_specs`, then the `kernels.VwpRows`
-    table of the entry series, whose rows grow value by value as entries
-    read them.  `multiconv_rhs`, which reads a few entries of each matrix,
-    and R_explicit's per-entry loop (below EXPLICIT_MATRIX_N at p != 0 and
-    EXPLICIT_MATRIX_N_TRIG at p = 0) use them.
-    """
-    _require_nonzero(quad, "abcd", Route.EXPLICIT)
-    ctx = quad.ctx
-    prefactor = _theta_rows(_prefactor_specs(quad), ctx)
-    alpha = _series_params(quad, 0, 0)[0]  # the same for every entry
-    return prefactor, kernels.VwpRows(alpha, ctx.q, ctx.p, quad.N, ctx.theta_factors)
-
-
-def _r_entry_explicit(quad: ParamQuad, rows: tuple, k: int, l: int) -> complex:
-    prefactor, series = rows
+def _r_entry_explicit(quad: ParamQuad, prefactor, series, k: int, l: int) -> complex:
     b_d, ac, a_c, bd, b_c, bc, cd, qq, c_d, d_c = prefactor
     N = quad.N
     # q^(l(l-N)) rides as one factor q^(l-N) on each factor of (b/d)_l,
@@ -443,25 +435,31 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     the interpreter's complex arithmetic is the one `kernels` spells out on
     arrays (`kernels.EXACT_ARRAYS`), every entry advances together
     (`_explicit_matrix`); below it, or should that path decline, the
-    entries are computed one by one from `_explicit_rows`.
+    entries are computed one by one from the prefactor rows of
+    `_prefactor_specs` and a `kernels.VwpRows` table of the entry series,
+    whose rows grow value by value as entries read them.
     Individual entries whose prefactor or series is resonant (while the
     basis itself is fine) are taken from R_solve and reported in
     `fallback`.
     """
     _require_valid(quad)
+    _require_nonzero(quad, "abcd", Route.EXPLICIT)
     N = quad.N
     start = EXPLICIT_MATRIX_N if quad.ctx.p != 0 else EXPLICIT_MATRIX_N_TRIG
     whole = _explicit_matrix(quad) if N >= start and kernels.EXACT_ARRAYS else None
     if whole:
         ent, flagged = whole
     else:
-        rows = _explicit_rows(quad)
+        ctx = quad.ctx
+        prefactor = _theta_rows(_prefactor_specs(quad), ctx)
+        alpha = _series_params(quad, 0, 0)[0]  # the same for every entry
+        series = kernels.VwpRows(alpha, ctx.q, ctx.p, N, ctx.theta_factors)
         ent = np.empty((N + 1, N + 1), dtype=complex)
         flagged = []
         for k in range(N + 1):
             for l in range(N + 1):
                 try:
-                    ent[k, l] = _r_entry_explicit(quad, rows, k, l)
+                    ent[k, l] = _r_entry_explicit(quad, prefactor, series, k, l)
                 except SingularParameterError:
                     flagged.append((k, l))
     if flagged:
@@ -491,7 +489,6 @@ def _explicit_matrix(quad: ParamQuad):
     there), or a theta value is finite with an infinite modulus (abs
     raises on it).
     """
-    _require_nonzero(quad, "abcd", Route.EXPLICIT)
     a, b, c, d, N, ctx = quad.a, quad.b, quad.c, quad.d, quad.N, quad.ctx
     q = ctx.q
     xs, ends = _theta_args(_prefactor_specs(quad), ctx)
@@ -875,8 +872,8 @@ def _compositions(total: int, caps) -> list:
     return out
 
 
-def multiconv_rhs(ks, l: int, Ms, quad: ParamQuad, sigma, tau) -> complex:
-    """Multifactor convolution sum.
+def multiconv_rhs(cases, Ms, quad: ParamQuad, sigma, tau) -> list:
+    """Multifactor convolution sums, one for each (ks, l) of `cases`.
 
     sum over m_1 + ... + m_n = l of  prod_i  R_{k_i}^{m_i} with parameters
     (a q^{|k|_i^sigma}, b q^{|M-k|_i^tau}, c q^{|m|_i}, d q^{|M-m|_i}; M_i),
@@ -884,56 +881,47 @@ def multiconv_rhs(ks, l: int, Ms, quad: ParamQuad, sigma, tau) -> complex:
     the c/d shifts use the identity order.  The value is independent of
     sigma and tau.
 
-    Each factor is one closed-form entry of its sub-quad; an entry whose
-    closed form is resonant takes the collocation value of R_solve.
+    Each factor is an entry of its sub-quad's `R_explicit` matrix.  A
+    sub-quad's matrix is built when a composition first reads it, once per
+    call: the cases of one call share it.
     """
-    n = len(ks)
-    if len(Ms) != n or sorted(sigma) != list(range(n)) or sorted(tau) != list(range(n)):
-        raise DomainError("need permutations of range(n) and matching lengths")
-    for ki, Mi in zip(ks, Ms):
-        if not 0 <= ki <= Mi:
+    n, perm = len(Ms), list(range(len(Ms)))
+    for ks, _ in cases:
+        if len(ks) != n or sorted(sigma) != perm or sorted(tau) != perm:
+            raise DomainError("need permutations of range(n) and matching lengths")
+        if not all(0 <= ki <= Mi for ki, Mi in zip(ks, Ms)):
             raise DomainError("need 0 <= k_i <= M_i")
     a, b, c, d, ctx = quad.a, quad.b, quad.c, quad.d, quad.ctx
     q = ctx.q
-    kshift = [sum(ks[j] for j in range(n) if sigma[j] < sigma[i]) for i in range(n)]
-    mkshift = [
-        sum(Ms[j] - ks[j] for j in range(n) if tau[j] < tau[i]) for i in range(n)
-    ]
-
-    # theta rows of each sub-quad, built once per call
-    subs = {}
-
-    def entry(i: int, cpow: int, dpow: int, mi: int) -> complex:
-        if (i, cpow, dpow) not in subs:
-            sub = ParamQuad(
-                a * q ** kshift[i],
-                b * q ** mkshift[i],
-                c * q**cpow,
-                d * q**dpow,
-                Ms[i],
-                ctx,
-            )
-            _require_valid(sub)
-            subs[i, cpow, dpow] = sub, _explicit_rows(sub)
-        sub, rows = subs[i, cpow, dpow]
-        try:
-            value = _r_entry_explicit(sub, rows, ks[i], mi)
-        except SingularParameterError:
-            return R_solve(sub).entries[ks[i], mi]
-        if not cmath.isfinite(value):
-            raise DomainError(f"non-finite matrix entries at N = {sub.N}")
-        return value
-
-    total = 0j
-    for m in _compositions(l, Ms):
-        cpow = dpow = 0
-        prod = 1.0 + 0j
-        for i in range(n):
-            prod *= entry(i, cpow, dpow, m[i])
-            cpow += m[i]
-            dpow += Ms[i] - m[i]
-        total += prod
-    return total
+    subs = {}  # each sub-quad's entries, keyed by its powers of q and its M_i
+    out = []
+    for ks, l in cases:
+        kshift = [sum(ks[j] for j in range(n) if sigma[j] < sigma[i]) for i in range(n)]
+        mkshift = [
+            sum(Ms[j] - ks[j] for j in range(n) if tau[j] < tau[i]) for i in range(n)
+        ]
+        total = 0j
+        for m in _compositions(l, Ms):
+            cpow = dpow = 0
+            prod = 1.0 + 0j
+            for i in range(n):
+                key = kshift[i], mkshift[i], cpow, dpow, Ms[i]
+                if key not in subs:
+                    sub = ParamQuad(
+                        a * q ** kshift[i],
+                        b * q ** mkshift[i],
+                        c * q**cpow,
+                        d * q**dpow,
+                        Ms[i],
+                        ctx,
+                    )
+                    subs[key] = R_explicit(sub).entries.tolist()
+                prod *= subs[key][ks[i]][m[i]]
+                cpow += m[i]
+                dpow += Ms[i] - m[i]
+            total += prod
+        out.append(total)
+    return out
 
 
 # -- limit transitions --------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .context import make_context
+from .context import inverse_power, make_context
 from .errors import DomainError, SingularParameterError
 from .series import eval_W, w_spec
 from .sixj import ParamQuad, R_explicit, entry_series
@@ -39,12 +39,11 @@ class WilsonParams:
     N: int
 
     def __post_init__(self) -> None:
+        q_inv = inverse_power(self.q, self.N)
         prod = self.a * self.b * self.c * self.d * self.e * self.f
         if abs(prod - self.q) > CONSTRAINT_RTOL * abs(self.q):
             raise DomainError("need a*b*c*d*e*f = q")
-        if abs(self.a * self.b - self.q**-self.N) > CONSTRAINT_RTOL * abs(
-            self.q**-self.N
-        ):
+        if abs(self.a * self.b - q_inv) > CONSTRAINT_RTOL * abs(q_inv):
             raise DomainError("need a*b = q^-N")
 
     def swapped_ef(self) -> "WilsonParams":

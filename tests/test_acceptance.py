@@ -132,19 +132,20 @@ def test_c05_binary_convolution_variants():
                 quad = _sample_quad(rng, M + Nn, ctx)
                 fused = R_explicit(quad).entries
                 scale = max(float(np.abs(fused).max()), 1e-300)
+                cases = [
+                    ((k1, k2), l)
+                    for k1 in range(M + 1)
+                    for k2 in range(Nn + 1)
+                    for l in range(M + Nn + 1)
+                ]
                 for sigma in ((0, 1), (1, 0)):
                     for tau in ((0, 1), (1, 0)):
-                        for k1 in range(M + 1):
-                            for k2 in range(Nn + 1):
-                                for l in range(M + Nn + 1):
-                                    rhs = multiconv_rhs(
-                                        (k1, k2), l, (M, Nn), quad, sigma, tau
-                                    )
-                                    worst = max(
-                                        worst,
-                                        abs(fused[k1 + k2, l] - rhs)
-                                        / max(scale, abs(rhs)),
-                                    )
+                        rhss = multiconv_rhs(cases, (M, Nn), quad, sigma, tau)
+                        for (ks, l), rhs in zip(cases, rhss):
+                            worst = max(
+                                worst,
+                                abs(fused[sum(ks), l] - rhs) / max(scale, abs(rhs)),
+                            )
         _report(f"split convolution ({level.value})", worst, 1e-7)
 
 
@@ -164,7 +165,7 @@ def test_c06_multifactor_fusion():
         quad = _sample_quad(rng, 3, ctx)
         ks, l = (1, 0, 1), int(rng.integers(0, 4))
         vals = [
-            multiconv_rhs(ks, l, (1, 1, 1), quad, sigma, (0, 1, 2))
+            multiconv_rhs([(ks, l)], (1, 1, 1), quad, sigma, (0, 1, 2))[0]
             for sigma in itertools.permutations(range(3))
         ]
         base = max(abs(v) for v in vals)

@@ -306,11 +306,42 @@ def test_base_powers_out_of_double_range_are_usage_errors(capsys):
         ["sklyanin", "--a", "1.2", "--b", "1", "--c", "1.1", "--k", "0", "--N", "40",
          "--q", "1e-10"],
         ["series", "--family", "phi", "--top", "2", "--q", "1e-10", "--terms", "40"],
+        ["wilson", "--a", "1e150", "--b", "1e150", "--c", "1e-150", "--d", "1e-150",
+         "--e", "1", "--f", "1e-10", "--q", "1e-10", "--N", "31", "--n", "1",
+         "--k", "0"],
+        ["wilson", "--a", "1.2", "--b", "1", "--c", "1.1", "--d", "0.9", "--e", "0.8",
+         "--f", "0", "--q", "0", "--N", "2", "--n", "1", "--k", "0"],
     ]
     for argv in argvs:
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: q = ") and len(err.splitlines()) == 1, argv
+
+
+def test_overflowing_values_name_the_verb(capsys):
+    # these verbs build no report: the error names the verb and the value
+    argvs = {
+        "theta": ["theta", "--x", "1e300", "--p", "0.5"],
+        "series": ["series", "--family", "W", "--a", "1.1", "--b", "1.2",
+                   "--b", "1e200", "--q", "1e-10", "--terms", "20"],
+    }
+    for verb, argv in argvs.items():
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {verb}: value left double range: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_underflowed_theta_argument_is_named(capsys):
+    # PATHS's step row u q^m underflows to 0 at m = 9 though no parameter is 0
+    code, out, err = _run(
+        capsys, "sixj", "--a", "1.2,0.3", "--b", "0.8,-0.2", "--c", "1.1,0.4",
+        "--d", "0.7,0.2", "--N", "7", "--q", "1e-40", "--level", "elliptic",
+        "--p", "0.1", "--method", "paths",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: theta argument u q^m = 0j left double range at u = ")
+    assert err.rstrip().endswith(", m = 9") and len(err.splitlines()) == 1
 
 
 def test_tol_must_be_finite_and_positive(monkeypatch, capsys):

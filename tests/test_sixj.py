@@ -204,15 +204,13 @@ def test_explicit_entries_equal_the_single_entry_series():
                 quad = draw_quad(seed, N, level)
                 R = R_explicit(quad)
                 assert not R.fallback
-                prefactor, _ = sixj._explicit_rows(quad)
+                prefactor = sixj._theta_rows(sixj._prefactor_specs(quad), quad.ctx)
                 for k in range(N + 1):
                     for l in range(N + 1):
                         single = SimpleNamespace(
                             sum=lambda bs, z, n: sixj.entry_series(quad, k, l)
                         )
-                        want = sixj._r_entry_explicit(
-                            quad, (prefactor, single), k, l
-                        )
+                        want = sixj._r_entry_explicit(quad, prefactor, single, k, l)
                         assert R.entries[k, l] == want, (level, N, seed, k, l)
 
 
@@ -518,13 +516,18 @@ def test_index_splitting_convolution(level):
     quad = draw_quad(44, M + Nn, level)
     fused = R_explicit(quad).entries
     scale = float(np.abs(fused).max())
+    cases = [
+        ((k1, k2), l)
+        for k1 in range(M + 1)
+        for k2 in range(Nn + 1)
+        for l in range(M + Nn + 1)
+    ]
     for sigma in ((0, 1), (1, 0)):
         for tau in ((0, 1), (1, 0)):
-            for k1 in range(M + 1):
-                for k2 in range(Nn + 1):
-                    for l in range(M + Nn + 1):
-                        rhs = multiconv_rhs((k1, k2), l, (M, Nn), quad, sigma, tau)
-                        assert abs(fused[k1 + k2, l] - rhs) / scale < 1e-9
+            rhss = multiconv_rhs(cases, (M, Nn), quad, sigma, tau)
+            assert len(rhss) == len(cases)
+            for (ks, l), rhs in zip(cases, rhss):
+                assert abs(fused[sum(ks), l] - rhs) / scale < 1e-9
 
 
 def test_multifactor_fusion_is_permutation_invariant():
@@ -533,7 +536,7 @@ def test_multifactor_fusion_is_permutation_invariant():
     ks = (1, 0, 1)
     l = 2
     vals = [
-        multiconv_rhs(ks, l, Ms, quad, sigma, tau)
+        multiconv_rhs([(ks, l)], Ms, quad, sigma, tau)[0]
         for sigma in itertools.permutations(range(3))
         for tau in (tuple(range(3)), (2, 0, 1))
     ]
@@ -545,42 +548,47 @@ def test_multifactor_fusion_is_permutation_invariant():
 def test_multiconv_rhs_rejects_bad_indices():
     quad = draw_quad(45, 3, Level.TRIG)
     with pytest.raises(DomainError):
-        multiconv_rhs((1, 0, 1), 2, (1, 1, 1), quad, (0, 0, 2), (0, 1, 2))
+        multiconv_rhs([((1, 0, 1), 2)], (1, 1, 1), quad, (0, 0, 2), (0, 1, 2))
     with pytest.raises(DomainError):
-        multiconv_rhs((2, 0, 1), 2, (1, 1, 1), quad, (0, 1, 2), (0, 1, 2))
+        multiconv_rhs([((2, 0, 1), 2)], (1, 1, 1), quad, (0, 1, 2), (0, 1, 2))
+    with pytest.raises(DomainError):
+        multiconv_rhs([((1, 0), 1)], (1, 1, 1), quad, (0, 1, 2), (0, 1, 2))
 
 
 @pytest.mark.parametrize("level", [Level.TRIG, Level.ELLIPTIC])
-def test_multiconv_rhs_builds_no_sub_matrix(level, monkeypatch):
-    # each factor is one closed-form entry: neither a route nor the
-    # explicit matrix of a sub-quad may be built on a generic quad
+def test_multiconv_rhs_builds_each_sub_matrix_once(level, monkeypatch):
+    # within one call every factor is an entry of its sub-quad's R_explicit
+    # matrix, built once however many cases and compositions read it
     quad = draw_quad(44, 3, level)
     fused = R_explicit(quad).entries
-    cases = [
-        ((k1, k2), l, (1, 2), sigma, tau)
+    scale = float(np.abs(fused).max())
+    binary = [((k1, k2), l) for k1 in range(2) for k2 in range(3) for l in range(4)]
+    fusion = [(ks, l) for ks in ((1, 0, 1), (0, 1, 1)) for l in range(4)]
+    calls = [
+        (binary, (1, 2), sigma, tau)
         for sigma in ((0, 1), (1, 0))
         for tau in ((0, 1), (1, 0))
-        for k1 in range(2)
-        for k2 in range(3)
-        for l in range(4)
     ]
-    cases += [
-        (ks, l, (1, 1, 1), sigma, tau)
-        for ks in ((1, 0, 1), (0, 1, 1))
-        for l in range(4)
+    calls += [
+        (fusion, (1, 1, 1), sigma, tau)
         for sigma in itertools.permutations(range(3))
         for tau in (tuple(range(3)), (2, 0, 1))
     ]
+    built = []
+    explicit = sixj.R_explicit
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("multiconv_rhs built a sub-matrix")
+    def counted(sub):
+        built.append(sub)
+        return explicit(sub)
 
-    monkeypatch.setattr(sixj, "R_matrix", no_build)
-    monkeypatch.setattr(sixj, "R_explicit", no_build)
-    scale = float(np.abs(fused).max())
-    for ks, l, Ms, sigma, tau in cases:
-        rhs = multiconv_rhs(ks, l, Ms, quad, sigma, tau)
-        assert abs(fused[sum(ks), l] - rhs) / scale < 1e-9
+    monkeypatch.setattr(sixj, "R_explicit", counted)
+    for cases, Ms, sigma, tau in calls:
+        built.clear()
+        rhss = multiconv_rhs(cases, Ms, quad, sigma, tau)
+        assert built and len(set(built)) == len(built), (Ms, sigma, tau)
+        assert len(rhss) == len(cases)
+        for (ks, l), rhs in zip(cases, rhss):
+            assert abs(fused[sum(ks), l] - rhs) / scale < 1e-9
 
 
 # -- limit transitions ---------------------------------------------------------
