@@ -15,6 +15,11 @@ computed by four independent routes:
   PATHS       weighted lattice-path sum,
   SOLVE       dense collocation against the definition.
 
+No route defers to another: a quad on which a route's formula is singular
+raises `SingularParameterError`.  EXPLICIT's closed form is resonant on
+every band quad (`band_quad`) whose band leaves out an entry, and
+RECURRENCE gives those matrices.
+
 EXPLICIT's prefactors and PATHS's step weights read their theta values
 from rows theta(u q^m; p), one per base u, built once per matrix: O(N)
 theta values a matrix.  EXPLICIT's entry series read one
@@ -87,7 +92,8 @@ class CoeffMatrix:
     entries: np.ndarray
     route: Route
     quad: ParamQuad
-    # entries recomputed through the collocation fallback, as (k, l) pairs
+    # always (), as no route defers entries to another; the field stays
+    # because the benchmark's tracer and tools/fingerprint.py read it
     fallback: tuple = ()
 
     def __post_init__(self) -> None:
@@ -108,18 +114,22 @@ def krawtchouk_K(
     """
     if not (0 <= k <= N and 0 <= l <= N):
         raise DomainError("need 0 <= k, l <= N")
-    if abs(a * d - b * c - 1.0) > 1e-9 * max(1.0, abs(a * d)):
+    det = a * d - b * c
+    # a NaN fails every comparison, so a non-finite ad - bc is named first
+    if not cmath.isfinite(det):
+        raise DomainError(f"ad - bc = {det} left double range")
+    if abs(det - 1.0) > 1e-9 * max(1.0, abs(a * d)):
         raise DomainError("normalization ad - bc = 1 violated")
     total = 0j
     for i in range(max(0, l - (N - k)), min(k, l) + 1):
-        total += (
-            math.comb(k, i)
-            * math.comb(N - k, l - i)
-            * a**i
-            * b ** (k - i)
-            * c ** (l - i)
-            * d ** (N - k - l + i)
-        )
+        powers = (a, i), (b, k - i), (c, l - i), (d, N - k - l + i)
+        term = math.comb(k, i) * math.comb(N - k, l - i)
+        for x, n in powers:
+            try:
+                term *= x**n
+            except OverflowError:
+                raise DomainError(f"power {x}**{n} left double range") from None
+        total += term
     return total
 
 
@@ -132,6 +142,8 @@ def krawtchouk_matrix(
     for k in range(N + 1):
         for l in range(N + 1):
             out[k, l] = krawtchouk_K(k, l, N, a, b, c, d)
+    if not np.isfinite(out).all():
+        raise DomainError(f"non-finite matrix entries at N = {N}")
     return out
 
 
@@ -438,35 +450,35 @@ def R_explicit(quad: ParamQuad) -> CoeffMatrix:
     entries are computed one by one from the prefactor rows of
     `_prefactor_specs` and a `kernels.VwpRows` table of the entry series,
     whose rows grow value by value as entries read them.
-    Individual entries whose prefactor or series is resonant (while the
-    basis itself is fine) are taken from R_solve and reported in
-    `fallback`.
+    An entry whose prefactor or series is resonant (while the basis itself
+    is fine) raises `SingularParameterError`, naming the first such entry
+    in row-major order; EXPLICIT defers to no other route.  A band quad
+    (`band_quad`) is resonant once N > min(m, M - m), where its band
+    leaves out an entry: RECURRENCE gives its matrix.
     """
     _require_valid(quad)
     _require_nonzero(quad, "abcd", Route.EXPLICIT)
     N = quad.N
     start = EXPLICIT_MATRIX_N if quad.ctx.p != 0 else EXPLICIT_MATRIX_N_TRIG
-    whole = _explicit_matrix(quad) if N >= start and kernels.EXACT_ARRAYS else None
-    if whole:
-        ent, flagged = whole
-    else:
+    ent = _explicit_matrix(quad) if N >= start and kernels.EXACT_ARRAYS else None
+    if ent is None:
         ctx = quad.ctx
         prefactor = _theta_rows(_prefactor_specs(quad), ctx)
         alpha = _series_params(quad, 0, 0)[0]  # the same for every entry
         series = kernels.VwpRows(alpha, ctx.q, ctx.p, N, ctx.theta_factors)
         ent = np.empty((N + 1, N + 1), dtype=complex)
-        flagged = []
         for k in range(N + 1):
             for l in range(N + 1):
                 try:
                     ent[k, l] = _r_entry_explicit(quad, prefactor, series, k, l)
                 except SingularParameterError:
-                    flagged.append((k, l))
-    if flagged:
-        solved = R_solve(quad).entries
-        for k, l in flagged:
-            ent[k, l] = solved[k, l]
-    return CoeffMatrix(ent, Route.EXPLICIT, quad, tuple(flagged))
+                    raise _resonant(k, l) from None
+    return CoeffMatrix(ent, Route.EXPLICIT, quad)
+
+
+def _resonant(k: int, l: int) -> SingularParameterError:
+    """The error both EXPLICIT paths raise at their first resonant entry."""
+    return SingularParameterError(f"closed form is resonant at entry ({k}, {l})")
 
 
 def _explicit_matrix(quad: ParamQuad):
@@ -480,9 +492,9 @@ def _explicit_matrix(quad: ParamQuad):
     at once and chain them over the shrinking squares of entries that
     have a term t.  The arithmetic is CPython's complex product and
     quotient spelled out on float64 arrays (`kernels._mul`, `_quot`), in
-    the per-entry order, and every test that makes an entry raise (and
-    fall back to R_solve) is made on the same values.  Arrays are indexed
-    [l, k] and hold O(N^3) values at most.
+    the per-entry order, and every test that makes an entry raise is made
+    on the same values, so both paths raise at the same first entry.
+    Arrays are indexed [l, k] and hold O(N^3) values at most.
 
     Returns None, for the per-entry path to decide, where a series
     parameter is 0 or a series theta argument is 0 at p != 0 (both raise
@@ -563,8 +575,10 @@ def _explicit_matrix(quad: ParamQuad):
         ent = np.empty((N + 1, N + 1), dtype=complex)
         ent.real = (pr * sr - pi * si).T
         ent.imag = (pr * si + pi * sr).T
-    flagged = (series_singular | singular[:, None]).T
-    return ent, [(k, l) for k, l in np.argwhere(flagged).tolist()]
+    resonant = np.argwhere((series_singular | singular[:, None]).T)
+    if len(resonant):
+        raise _resonant(*resonant[0].tolist())
+    return ent
 
 
 def _slice_index(steps: int, starts, lens) -> np.ndarray:
@@ -1074,7 +1088,9 @@ def elliptic_W6j(
     The height differences must be admissible: (i - j) and its partner in
     {-M, 2-M, ..., M}, the k/l heights within [0, N].  Outside the band
     l in [k - m, k + M - m] the value is an exact zero: the underlying
-    coefficient matrix has no support there (see band_quad).
+    coefficient matrix has no support there (see band_quad).  The closed
+    form is resonant on most such band quads (see R_explicit), so the
+    entry comes from RECURRENCE (`R_double_sum`).
     """
     if not (0 <= k <= N and 0 <= l <= N):
         raise DomainError("k and l must lie in [0, N]")
@@ -1085,27 +1101,35 @@ def elliptic_W6j(
         raise DomainError("shift split (M + j - i)/2 outside [0, M]")
     if l < k - m or l > k + M - m:
         return 0j
-    lg = cmath.log(ctx.q_half)
+    entry = R_double_sum(_w6j_quad(i, j, u, xi_param, M, N, ctx)).entries[k, l]
+    w = (xi_param + j + k + l - N) * (l - k) + N * (N - u) / 2 + (N - 2 * k) * (i - j) / 2
+    pref = _half_power(2 * w, ctx)
+    pref *= scalar.elliptic_pochhammer(
+        _half_power(2 * (u + M + 1 - N), ctx), N, ctx
+    ) / scalar.elliptic_pochhammer(ctx.q, N, ctx)
+    return pref * entry
 
-    def half_power(w: complex) -> complex:
-        return cmath.exp(w * lg)
 
+def _half_power(w: complex, ctx: EllipticContext) -> complex:
+    """q^(w/2) on the branch of ctx.q_half."""
+    return cmath.exp(w * cmath.log(ctx.q_half))
+
+
+def _w6j_quad(
+    i: int, j: int, u: complex, xi_param: complex, M: int, N: int,
+    ctx: EllipticContext,
+) -> ParamQuad:
+    """The quad of `elliptic_W6j` at heights i, j: a band quad with
+    m = (M + j - i)/2, c = a q^m and d = b q^(M-m)."""
     base = u + 1 - N
-    quad = ParamQuad(
-        half_power(base + xi_param + i),
-        half_power(base - xi_param - i),
-        half_power(base + xi_param + j + M),
-        half_power(base - xi_param - j + M),
+    return ParamQuad(
+        _half_power(base + xi_param + i, ctx),
+        _half_power(base - xi_param - i, ctx),
+        _half_power(base + xi_param + j + M, ctx),
+        _half_power(base - xi_param - j + M, ctx),
         N,
         ctx,
     )
-    entry = R_explicit(quad).entries[k, l]
-    w = (xi_param + j + k + l - N) * (l - k) + N * (N - u) / 2 + (N - 2 * k) * (i - j) / 2
-    pref = half_power(2 * w)
-    pref *= scalar.elliptic_pochhammer(
-        half_power(2 * (u + M + 1 - N)), N, ctx
-    ) / scalar.elliptic_pochhammer(ctx.q, N, ctx)
-    return pref * entry
 
 
 def band_quad(

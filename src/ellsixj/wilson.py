@@ -20,8 +20,12 @@ from dataclasses import dataclass
 from .context import inverse_power, make_context
 from .errors import DomainError, SingularParameterError
 from .series import eval_W, w_spec
-from .sixj import ParamQuad, R_explicit, entry_series
-from . import scalar
+from .sixj import ParamQuad, R_double_sum, entry_series
+from . import scalar, sixj
+
+# No code here reads it: the benchmark's traced run (perfbench/tracing.py)
+# wraps `wilson.R_explicit` by attribute, and the name goes with that entry.
+R_explicit = sixj.R_explicit
 
 #: relative slack when validating the two Wilson parameter constraints
 CONSTRAINT_RTOL = 1e-8
@@ -248,7 +252,9 @@ def wilson_addition(n: int, m: int, s: complex, t: complex, wp: WilsonParams) ->
         * q ** (m**2 - n**2)
         * (c * e**2 * f) ** (n - m)
     )
-    mid = X * R_explicit(quad).entries[n, m]
+    # at s = t = 1 the quad has a = c and b = d (R = I), where the closed
+    # form is resonant, so the entry comes from RECURRENCE
+    mid = X * R_double_sum(quad).entries[n, m]
 
     gamma = cmath.sqrt(e * s / (f * t))
     big = WilsonParams(

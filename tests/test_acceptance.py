@@ -8,10 +8,12 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ellsixj import scalar
 from ellsixj.basis import BasisPair, basis_valid
 from ellsixj.context import make_context
+from ellsixj.errors import SingularParameterError
 from ellsixj.harness import (
     Level,
     SampleConfig,
@@ -34,6 +36,7 @@ from ellsixj.harness import (
 )
 from ellsixj.sixj import (
     ParamQuad,
+    R_double_sum,
     R_explicit,
     R_matrix,
     Route,
@@ -289,7 +292,10 @@ def test_c11_band_support():
                     break
             else:
                 raise AssertionError("no generic banded quad found")
-            E = R_explicit(quad).entries
+            # the closed form is resonant on a band quad; RECURRENCE is not
+            with pytest.raises(SingularParameterError, match="resonant at entry"):
+                R_explicit(quad)
+            E = R_double_sum(quad).entries
             scale = float(np.abs(E).max())
             for k in range(N + 1):
                 for l in range(N + 1):

@@ -126,6 +126,22 @@ def test_sixj_krawtchouk_level(capsys):
     assert len(out.strip().splitlines()) == 10
 
 
+def test_krawtchouk_values_out_of_double_range_are_usage_errors(capsys):
+    # ad - bc is NaN at 1e200, a power overflows at 1e160, and a product
+    # of finite powers at 1e154: one error line naming the value, exit 2
+    argvs = {
+        ("1e200", "1e200", "1e200", "1e200"): "ad - bc = (nan+0j) left double range",
+        ("1e160", "0", "0", "1e-160"): "power (1e+160+0j)**2 left double range",
+        ("1e154", "1e154", "0", "1e-154"): "non-finite matrix entries at N = 2",
+    }
+    for (a, b, c, d), msg in argvs.items():
+        code, out, err = _run(
+            capsys, "sixj", "--level", "krawtchouk", "--a", a, "--b", b,
+            "--c", c, "--d", d, "--N", "2",
+        )
+        assert (code, out, err) == (2, "", f"error: {msg}\n"), (a, b, c, d)
+
+
 def test_wilson_verb(capsys):
     q, N = 0.45, 2
     a = 1.1

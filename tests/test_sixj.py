@@ -15,7 +15,12 @@ from ellsixj import basis, scalar, sixj
 from ellsixj.backend import kernels
 from ellsixj.basis import h_value
 from ellsixj.context import make_context
-from ellsixj.errors import DomainError, IllConditionedError, SixjError
+from ellsixj.errors import (
+    DomainError,
+    IllConditionedError,
+    SingularParameterError,
+    SixjError,
+)
 from ellsixj.harness import LEVEL_TOL, Level, SampleConfig, Shape, sample_generic
 from ellsixj.sixj import (
     LimitReport,
@@ -83,19 +88,21 @@ def test_four_routes_agree(level):
         assert rel(A, B) < tol
 
 
-def test_explicit_records_fallback_entries():
+def test_explicit_raises_on_a_resonant_entry(monkeypatch):
     quad = draw_quad(33, 3)
     # b/c exactly on the inverse lattice is fine for the basis but resonant
-    # for the closed form; those entries must come back via collocation
+    # for the closed form: EXPLICIT defers to no other route and raises,
+    # naming the first resonant entry, on the per-entry and whole-matrix
+    # paths alike; PATHS and SOLVE still give the matrix, and agree
     pinned = ParamQuad(
         quad.a, quad.c / quad.ctx.q, quad.c, quad.d, quad.N, quad.ctx
     )
-    R = R_explicit(pinned)
-    assert R.fallback
-    direct = R_matrix(pinned, Route.SOLVE).entries
-    assert rel(R.entries, direct) < 1e-8
-    for k, l in R.fallback:
-        assert R.entries[k, l] == direct[k, l]
+    for cutover in (0, 10**6):
+        monkeypatch.setattr(sixj, "EXPLICIT_MATRIX_N_TRIG", cutover)
+        with pytest.raises(SingularParameterError, match=r"entry \(0, 0\)$"):
+            R_explicit(pinned)
+    solved = R_matrix(pinned, Route.SOLVE).entries
+    assert rel(R_paths(pinned).entries, solved) < 1e-8
 
 
 def test_solve_builds_one_collocation_system(monkeypatch):
@@ -190,8 +197,7 @@ def test_explicit_reads_quadratic_theta_rows(monkeypatch):
     for N in (1, 4, 9, 16):
         for seed in (36, 37):
             calls[0] = 0
-            R = R_explicit(draw_quad(seed, N, Level.ELLIPTIC))
-            assert not R.fallback
+            R_explicit(draw_quad(seed, N, Level.ELLIPTIC))
             assert calls[0] == 3 * N * N + 24 * N
 
 
@@ -203,7 +209,6 @@ def test_explicit_entries_equal_the_single_entry_series():
             for seed in range(30, 35):
                 quad = draw_quad(seed, N, level)
                 R = R_explicit(quad)
-                assert not R.fallback
                 prefactor = sixj._theta_rows(sixj._prefactor_specs(quad), quad.ctx)
                 for k in range(N + 1):
                     for l in range(N + 1):
@@ -215,18 +220,18 @@ def test_explicit_entries_equal_the_single_entry_series():
 
 
 def _explicit_outcome(quad) -> tuple:
-    """R_explicit's entry bits and fallback entries, or its error and text."""
+    """R_explicit's entry bits, or its error and text."""
     try:
         R = R_explicit(quad)
     except SixjError as exc:
         return type(exc).__name__, str(exc)
-    return R.entries.tobytes(), R.fallback
+    return R.entries.tobytes()
 
 
 def test_explicit_matrix_path_is_the_per_entry_loop_bit_for_bit(monkeypatch):
     # from the cutover up every entry advances together; with the cutover
-    # moved either way R_explicit gives the same entry bits, the same
-    # fallback entries and the same errors, warning about nothing
+    # moved either way R_explicit gives the same entry bits and the same
+    # errors, naming the same resonant entry, warning about nothing
     quads = [
         draw_quad(seed, N, level)
         for level in (Level.TRIG, Level.ELLIPTIC)
@@ -235,12 +240,13 @@ def test_explicit_matrix_path_is_the_per_entry_loop_bit_for_bit(monkeypatch):
     ]
     vanishing = []
     for level in (Level.TRIG, Level.ELLIPTIC):
-        # b = c q^-2 and a = c q^-1 zero prefactor factors of 16 and 5 entries
+        # b = c q^-2 and a = c q^-1 zero prefactor factors of 16 and 5
+        # entries, the first of them (0, 0) and (2, 1) in row-major order
         base = draw_quad(33, 3, level)
         a, b, c, d, q = base.a, base.b, base.c, base.d, base.ctx.q
         vanishing += [
-            (ParamQuad(a, c / q**2, c, d, 3, base.ctx), 16),
-            (ParamQuad(c / q, b, c, d, 3, base.ctx), 5),
+            (ParamQuad(a, c / q**2, c, d, 3, base.ctx), (0, 0)),
+            (ParamQuad(c / q, b, c, d, 3, base.ctx), (2, 1)),
         ]
     # entries that overflow (ROADMAP item 4)
     ctx = make_context(0.41, p=0.17)
@@ -249,15 +255,20 @@ def test_explicit_matrix_path_is_the_per_entry_loop_bit_for_bit(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for quad in quads + [quad for quad, _ in vanishing] + [huge]:
-            assert sixj._explicit_matrix(quad) is not None
             outcomes = []
             for ell, trig in ((0, 0), cutover, (10**6, 10**6)):
                 monkeypatch.setattr(sixj, "EXPLICIT_MATRIX_N", ell)
                 monkeypatch.setattr(sixj, "EXPLICIT_MATRIX_N_TRIG", trig)
                 outcomes.append(_explicit_outcome(quad))
             assert outcomes[0] == outcomes[1] == outcomes[2], quad
-    for quad, flagged in vanishing:
-        assert len(R_explicit(quad).fallback) == flagged
+        for quad in quads + [huge]:
+            assert sixj._explicit_matrix(quad) is not None
+    for quad, (k, l) in vanishing:
+        resonant = f"closed form is resonant at entry ({k}, {l})"
+        assert _explicit_outcome(quad) == ("SingularParameterError", resonant)
+        # the whole-matrix path raises it itself rather than declining
+        with pytest.raises(SingularParameterError, match=rf"\({k}, {l}\)$"):
+            sixj._explicit_matrix(quad)
     overflow = ("DomainError", "non-finite matrix entries at N = 20")
     assert _explicit_outcome(huge) == overflow
 
@@ -635,11 +646,15 @@ def test_qkraw_limit_with_pinned_c_misses_the_window():
 
 
 def test_band_quad_support():
+    # a band quad is resonant for the closed form; RECURRENCE gives its
+    # matrix, supported on the band
     ctx = make_context(0.45, p=0.1)
     a, b = 1.13 + 0.29j, 0.71 - 0.43j
     M, m, N = 2, 1, 3
     quad = band_quad(a, b, m, M, N, ctx)
-    E = R_explicit(quad).entries
+    with pytest.raises(SingularParameterError, match="resonant at entry"):
+        R_explicit(quad)
+    E = R_double_sum(quad).entries
     scale = float(np.abs(E).max())
     for k in range(N + 1):
         for l in range(N + 1):
@@ -671,6 +686,28 @@ def test_w6j_band_and_consistency():
         elliptic_W6j(4, 0, 0, 0, u, xp, 2, 2, ctx)  # shift split outside range
     with pytest.raises(DomainError):
         elliptic_W6j(0, 0, 3, 0, u, xp, 2, 2, ctx)  # k beyond N
+
+
+def test_w6j_past_N_4():
+    # ROADMAP item 8's quads: every call returns a finite value, and the
+    # in-band entries of RECURRENCE, which it reads, agree with PATHS row
+    # by row (measured at most 2e-12)
+    ctx = make_context(0.43, p=0.11)
+    u, xp = 0.37 + 0.1j, 0.21
+    for N in range(5, 9):
+        for M in (1, 2):
+            for i, j in itertools.product(range(M + 1), repeat=2):
+                if (M + j - i) % 2:
+                    continue
+                for k in range(N + 1):
+                    v = elliptic_W6j(i, j, k, k, u, xp, M, N, ctx)
+                    assert cmath.isfinite(v), (N, M, i, j, k)
+                m = (M + j - i) // 2
+                quad = sixj._w6j_quad(i, j, u, xp, M, N, ctx)
+                R, P = R_double_sum(quad).entries, R_paths(quad).entries
+                for k in range(N + 1):
+                    band = slice(max(k - m, 0), k + M - m + 1)
+                    assert rel(R[k, band], P[k, band]) < 1e-9, (N, M, i, j, k)
 
 
 # -- exact path combinatorics ----------------------------------------------------

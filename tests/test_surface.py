@@ -11,8 +11,10 @@ UNREAD_EXPORTS = {
     "BACKEND": "perfbench/run.py records it as the kernel backend of a run",
     "sample_generic": "perfbench draws its workload inputs with it",
     "IDENTITY_COVERAGE": "the README's map of each checked identity to its suite",
-    "elliptic_W6j": "its normalization is still to be checked against the face weights",
-    "band_quad": "the band support of elliptic_W6j, kept until that check",
+    "elliptic_W6j": "its normalization is still to be checked against the face "
+    "weights; its band quads read RECURRENCE, where the closed form is resonant",
+    "band_quad": "the band quads of c11 and of tools/fingerprint.py's band group, "
+    "on RECURRENCE: the closed form raises on each whose band leaves out an entry",
 }
 
 # definitions no package module reads beyond the unread exports

@@ -17,8 +17,9 @@ def test_fingerprint_group_gives_the_same_digest_twice(capsys):
     fingerprint = _load("fingerprint")
     lines = []
     for _ in range(2):
-        assert fingerprint.main(["routes"]) == 0
+        assert fingerprint.main(["routes", "band"]) == 0
         lines.append(capsys.readouterr().out)
-    name, count, digest = lines[0].split()
-    assert (name, count, len(digest)) == ("routes", "360", 64)
+    routes, band = [line.split() for line in lines[0].splitlines()]
+    assert (*routes[:2], len(routes[2])) == ("routes", "360", 64)
+    assert (*band[:2], len(band[2])) == ("band", "288", 64)
     assert lines[1] == lines[0]

@@ -9,16 +9,23 @@ both:
         [--suites S,S,...] [--seeds K,K,...]
 
 Each line is `group count digest`, count being the outputs hashed.  An
-output that is an error is hashed as its type and message.  Groups (all
-four when none is named):
+output that is an error is hashed as its type and message.  A matrix is
+hashed with its `fallback` field, always () as no route defers entries
+to another, so digests stay comparable with older checkouts.
+Groups (all five when none is named):
 
-  explicit   R_explicit entries and fallback on the quads
-             draw_quad(30..39, N) of the tests, elliptic N = 0..16 and
-             trigonometric N = 0..8, 12, 16, 32, 64
+  explicit   R_explicit entries on the quads draw_quad(30..39, N) of the
+             tests, elliptic N = 0..16 and trigonometric N = 0..8, 12, 16,
+             32, 64
   routes     the four routes on the same quads at trigonometric N <= 8
   multiconv  multiconv_rhs on the inputs of the acceptance test
              test_c05_binary_convolution_variants: 480 calls, 12,960
              values
+  band       RECURRENCE, PATHS and EXPLICIT on band quads, where the
+             closed form is mostly resonant: the 40 quads of the
+             acceptance test test_c11_band_support and the 56 quads
+             elliptic_W6j reads at q = 0.43, p = 0.11, u = 0.37 + 0.1i,
+             xi = 0.21, M = 1, 2 and N = 1..8
   verify     exit code, stdout and stderr of
              `python3 -m ellsixj.cli verify --suite S --trials 12 --seed K`
              for each of --suites (default all ten) and --seeds
@@ -36,6 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ellsixj.basis import BasisPair, basis_valid
+from ellsixj.context import make_context
 from ellsixj.errors import SixjError
 from ellsixj.harness import (
     SUITES,
@@ -43,11 +52,19 @@ from ellsixj.harness import (
     SampleConfig,
     Shape,
     _ctx_for,
+    _draw,
     _sample_quad,
     _trial_rng,
     sample_generic,
 )
-from ellsixj.sixj import R_explicit, R_matrix, Route, multiconv_rhs
+from ellsixj.sixj import (
+    R_explicit,
+    R_matrix,
+    Route,
+    _w6j_quad,
+    band_quad,
+    multiconv_rhs,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEEDS = range(30, 40)
@@ -105,6 +122,37 @@ def multiconv():
                         yield _outcome(multiconv_rhs, cases, (M, Nn), quad, sigma, tau)
 
 
+def _band_quads():
+    """The quads of test_c11_band_support, drawn as it draws them, then
+    those of elliptic_W6j at the heights i, j of each M."""
+    cfg = SampleConfig(seed=1101, trials=20, N_max=3)
+    for M, N in ((1, 2), (2, 3)):
+        for t in range(cfg.trials):
+            rng = _trial_rng(cfg, t)
+            ctx = _ctx_for(cfg, rng, Level.ELLIPTIC)
+            m = int(rng.integers(0, M + 1))
+            for _ in range(100):
+                a, b = _draw(rng), _draw(rng)
+                quad = band_quad(a, b, m, M, N, ctx)
+                cd_ok = basis_valid(BasisPair(quad.c, quad.d, N), ctx)
+                if cd_ok and basis_valid(BasisPair(a, b, N), ctx):
+                    yield quad
+                    break
+    ctx = make_context(0.43, p=0.11)
+    for N in range(1, 9):
+        for M in (1, 2):
+            for i in range(M + 1):
+                for j in range(M + 1):
+                    if (M + j - i) % 2 == 0:
+                        yield _w6j_quad(i, j, 0.37 + 0.1j, 0.21, M, N, ctx)
+
+
+def band():
+    for quad in _band_quads():
+        for route in (Route.RECURRENCE, Route.PATHS, Route.EXPLICIT):
+            yield _outcome(R_matrix, quad, route)
+
+
 def verify(suites, seeds):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for suite in suites:
@@ -127,7 +175,9 @@ def digest(outputs) -> tuple:
 
 
 def main(argv=None) -> int:
-    groups = {"explicit": explicit, "routes": routes, "multiconv": multiconv}
+    groups = {
+        "explicit": explicit, "routes": routes, "multiconv": multiconv, "band": band,
+    }
     parser = argparse.ArgumentParser(prog="fingerprint")
     parser.add_argument("groups", nargs="*", help=", ".join([*groups, "verify"]))
     parser.add_argument("--suites", default=",".join(SUITES))
